@@ -4,11 +4,13 @@
 // paper artefact; used to sanity-check that the position counts in Table 1
 // translate into real time.
 //
-// The BM_SadKernel/* family is registered once per compiled-and-supported
-// SIMD variant (scalar, sse2, avx2) and calls that variant's table directly,
+// The BM_SadKernel/*, BM_SadHalfpel/*, BM_ForwardDct8x8/* and
+// BM_InverseDct8x8/* families are registered once per compiled-and-supported
+// SIMD variant (scalar, sse2, avx2) and call that variant's table directly,
 // so one run reports per-variant throughput side by side — the measurement
 // behind docs/BENCHMARKING.md's kernel speedup table. Everything else goes
-// through me::sad_block and friends, i.e. the globally selected table:
+// through me::sad_block, codec::forward_dct8x8 and friends, i.e. the
+// globally selected table:
 // `--kernel=scalar|sse2|avx2|auto` (parsed here before google-benchmark's
 // own flags) pins it for A/B runs of the search and encoder benchmarks.
 
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "analysis/rd_sweep.hpp"
-#include "codec/dct.hpp"
 #include "codec/encoder.hpp"
 #include "core/acbm.hpp"
 #include "me/decimation.hpp"
@@ -134,6 +135,38 @@ void BM_SadHalfpelFused(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 256);
 }
 
+/// One 8×8 forward DCT of a random ±255 residual block through one
+/// variant's table entry.
+void forward_dct_variant(benchmark::State& state, const simd::SadKernels* k) {
+  std::int16_t in[simd::kTransformSamples];
+  util::Rng rng(11);
+  for (auto& v : in) {
+    v = static_cast<std::int16_t>(rng.next_in_range(-255, 255));
+  }
+  double out[simd::kTransformSamples];
+  for (auto _ : state) {
+    k->fdct8x8(in, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+/// One 8×8 inverse DCT (rounded, clamped to ±512 as the codec calls it) of
+/// a random ±255 coefficient block through one variant's table entry.
+void inverse_dct_variant(benchmark::State& state, const simd::SadKernels* k) {
+  std::int16_t in[simd::kTransformSamples];
+  util::Rng rng(12);
+  for (auto& v : in) {
+    v = static_cast<std::int16_t>(rng.next_in_range(-255, 255));
+  }
+  std::int16_t out[simd::kTransformSamples];
+  for (auto _ : state) {
+    k->idct8x8_to_int(in, out, 512);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 /// One per-variant registration for every table the build/CPU offers.
 void register_kernel_variant_benchmarks() {
   for (simd::KernelIsa isa : {simd::KernelIsa::kScalar,
@@ -154,6 +187,10 @@ void register_kernel_variant_benchmarks() {
         sad_kernel_quincunx_variant, k);
     benchmark::RegisterBenchmark(("BM_SadHalfpel/" + suffix).c_str(),
                                  sad_halfpel_preinterp_variant, k);
+    benchmark::RegisterBenchmark(("BM_ForwardDct8x8/" + suffix).c_str(),
+                                 forward_dct_variant, k);
+    benchmark::RegisterBenchmark(("BM_InverseDct8x8/" + suffix).c_str(),
+                                 inverse_dct_variant, k);
   }
   benchmark::RegisterBenchmark("BM_SadHalfpel/fused", BM_SadHalfpelFused);
 }
@@ -256,21 +293,6 @@ void BM_AcbmP15(benchmark::State& state) {
   run_search_benchmark<core::Acbm>(state, 15);
 }
 BENCHMARK(BM_AcbmP15)->Unit(benchmark::kMicrosecond);
-
-void BM_ForwardDct8x8(benchmark::State& state) {
-  std::int16_t in[codec::kDctSamples];
-  util::Rng rng(11);
-  for (auto& v : in) {
-    v = static_cast<std::int16_t>(rng.next_in_range(-255, 255));
-  }
-  double out[codec::kDctSamples];
-  for (auto _ : state) {
-    codec::forward_dct8x8(in, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ForwardDct8x8);
 
 void BM_EntropyStage(benchmark::State& state) {
   // Stage-3 (MVD/entropy coding + reconstruction) scaling across slice

@@ -38,8 +38,9 @@ struct BenchOptions {
                             ///< results are bit-exact at any count
   int slices = 1;           ///< entropy-coding slices per frame (>1 emits
                             ///< ACV2 and changes measured rates slightly)
-  std::string kernel = "auto";  ///< SAD kernel variant (process-global
-                                ///< selection; every variant is bit-exact)
+  std::string kernel = "auto";  ///< SAD/transform kernel variant
+                                ///< (process-global selection; every
+                                ///< variant is bit-exact)
   std::string benchmark_out;    ///< when set, also write a
                                 ///< google-benchmark-style JSON report here
   std::string trace_out;        ///< when set, write a Chrome trace-event
@@ -120,7 +121,8 @@ inline BenchOptions parse_bench_options(int argc, const char* const* argv,
   parser.add_option("benchmark_out",
                     "path for the google-benchmark-style JSON report", "");
   parser.add_option("kernel",
-                    "SAD kernel variant: " + kernel_names_for_usage() +
+                    "SAD/transform kernel variant: " +
+                        kernel_names_for_usage() +
                         " (bit-exact; only throughput changes)",
                     "auto");
   parser.add_option("config",

@@ -160,8 +160,9 @@ int main(int argc, char** argv) {
                     "stream; >1 emits ACV2 and parallelises entropy coding)",
                     "1");
   parser.add_option("kernel",
-                    "SAD kernel variant: scalar|sse2|avx2|auto (bit-exact; "
-                    "only throughput changes)",
+                    "kernel variant for the SADs and 8x8 transforms: "
+                    "scalar|sse2|avx2|auto (bit-exact; only throughput "
+                    "changes)",
                     "auto");
   parser.add_option("sessions",
                     "encode the input as N concurrent sessions sharing one "

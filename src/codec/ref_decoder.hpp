@@ -19,7 +19,14 @@
 //   * the inverse DCT is computed in doubles over the orthonormal basis
 //     b[u][x] = 0.5·C(u)·cos((2x+1)uπ/16), accumulated columns-first then
 //     rows, and rounded with lround — both decoders follow that exact
-//     evaluation order so they produce identical IEEE-754 doubles;
+//     evaluation order so they produce identical IEEE-754 doubles. Every
+//     product is rounded to double before it is added: no fused
+//     multiply-add. The library is built with -ffp-contract=off
+//     (CMakeLists.txt) because compilers otherwise contract a*b+c into an
+//     FMA wherever the target has one (GCC does on arm64), which changes
+//     reconstructed samples. The same rule binds the encoder's forward DCT,
+//     whose coefficients decide the quantized levels, and every SIMD
+//     variant of both transforms (simd/sad_kernels.hpp);
 //   * motion vectors are valid when the compensated 16×16 read stays within
 //     23 samples of the picture edge (the optimized decoder's 24-sample
 //     replicated border minus the one sample reserved for the half-pel

@@ -1,8 +1,9 @@
 #pragma once
-// Runtime selection of the active SAD kernel table.
+// Runtime selection of the active kernel table (SADs and 8×8 transforms).
 //
 // Variant availability is decided twice: at BUILD time a CMake feature probe
-// compiles src/simd/sad_sse2.cpp / sad_avx2.cpp with the matching -m flags
+// compiles src/simd/sad_sse2.cpp / sad_avx2.cpp / dct_avx2.cpp with the
+// matching -m flags
 // (skipped entirely under -DACBM_DISABLE_SIMD=ON or on non-x86 targets), and
 // at RUN time CPUID gates which compiled variants may execute. The process
 // starts on the best variant that passes both gates ("auto"); the --kernel
@@ -10,7 +11,7 @@
 // specific one for A/B measurement.
 //
 // Selection is process-global: the table is consulted through one atomic
-// pointer on every me::sad_block call. Swapping variants mid-encode is safe
+// pointer on every me::sad_block and codec transform call. Swapping variants mid-encode is safe
 // (all variants are bit-identical) but pointless; the intended protocol is
 // select once at startup. Thread-pool workers read the same table, so a
 // parallel encode uses one variant throughout.

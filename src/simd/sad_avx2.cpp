@@ -1,4 +1,5 @@
-// AVX2 variant of the SAD kernel table.
+// AVX2 variant of the kernel table: the SAD slots (the transform slots are
+// in dct_avx2.cpp).
 //
 // The encoder's macroblocks are 16 samples wide — half a 256-bit vector —
 // so the bw == 16 fast paths pack TWO rows into each YMM register and run
@@ -310,8 +311,12 @@ std::uint32_t sad_rowskip_avx2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
-constexpr SadKernels kAvx2Table = {sad_avx2, sad_halfpel_avx2,
-                                   sad_quincunx_avx2, sad_rowskip_avx2,
+constexpr SadKernels kAvx2Table = {sad_avx2,
+                                   sad_halfpel_avx2,
+                                   sad_quincunx_avx2,
+                                   sad_rowskip_avx2,
+                                   detail::forward_dct8x8_avx2,
+                                   detail::inverse_dct8x8_to_int_avx2,
                                    "avx2"};
 
 }  // namespace

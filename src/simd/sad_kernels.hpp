@@ -1,19 +1,21 @@
 #pragma once
-// The SAD kernel function table — the contract every ISA variant implements.
+// The kernel function table — the contract every ISA variant implements.
 //
-// Motion estimation spends nearly all of its time inside the SAD inner loop,
-// so that loop is the one place in the repository with per-ISA code. The
-// rest of the system never names an instruction set: `me::sad_block` and
-// friends call through the table returned by `simd::active_kernels()`
-// (see dispatch.hpp), and every variant of the table computes *bit-identical
-// results* — the scalar implementation is the ground truth, and
-// tests/simd_sad_test.cpp holds the SSE2/AVX2 variants to exact equality
-// over randomized blocks, offsets and thresholds.
+// Two inner loops dominate an encode: the SAD loop of motion estimation and
+// the 8×8 transforms of the plan stage, the reconstruction loop and the
+// decoder. They are the one place in the repository with per-ISA code. The
+// rest of the system never names an instruction set: `me::sad_block`,
+// `codec::forward_dct8x8` and friends call through the table returned by
+// `simd::active_kernels()` (see dispatch.hpp), and every variant of the
+// table computes *bit-identical results* — the scalar implementation is the
+// ground truth, and tests/simd_sad_test.cpp and
+// tests/simd_transform_test.cpp hold the SSE2/AVX2 variants to exact
+// equality over randomized inputs.
 //
 // Kernels operate on raw row pointers + strides rather than video::Plane so
 // the ISA translation units depend on nothing but this header. Callers are
-// responsible for bounds: a kernel reads exactly `bw` samples from each of
-// `bh` rows (every other row for the decimated patterns) starting at the
+// responsible for bounds: a SAD kernel reads exactly `bw` samples from each
+// of `bh` rows (every other row for the decimated patterns) starting at the
 // given pointers — no overread, which keeps the kernels sanitizer-clean
 // against video::Plane's border guarantee.
 
@@ -77,11 +79,36 @@ using SadHalfpelFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
                                        int phase_h, int phase_v, int bw, int bh,
                                        std::uint32_t early_exit);
 
-/// @brief One ISA's complete set of SAD kernels.
+/// @brief Samples in the square block the transform slots work on (8×8).
+inline constexpr int kTransformSize = 8;
+inline constexpr int kTransformSamples = kTransformSize * kTransformSize;
+
+/// @brief Forward 8×8 orthonormal type-II DCT of row-major int16 samples or
+/// residuals into row-major coefficients.
+///
+/// Exactness contract: each output is the scalar reference's double — rows
+/// first, out[v][u] = Σ_y b[v][y]·(Σ_x b[u][x]·in[y][x]), every sum started
+/// at 0.0 and accumulated in ascending index order with separately rounded
+/// multiplies and adds (no FMA). Vector variants may put one output index in
+/// each lane but may not reorder a sum.
+using ForwardDctFn = void (*)(const std::int16_t* in, double* out);
+
+/// @brief Inverse 8×8 DCT of row-major int16 coefficients, rounded to the
+/// nearest integer (half away from zero, as std::lround) and clamped to
+/// [-limit, limit].
+///
+/// Same exactness contract as ForwardDctFn, with the columns pass first:
+/// s[y][x] = Σ_u b[u][x]·(Σ_v b[v][y]·in[v][u]). This is the reconstruction
+/// arithmetic the bitstream is defined by (codec/ref_decoder.hpp).
+using InverseDctToIntFn = void (*)(const std::int16_t* in, std::int16_t* out,
+                                   int limit);
+
+/// @brief One ISA's complete set of kernels.
 ///
 /// Populated once per compiled variant (scalar always; SSE2/AVX2 when the
 /// CMake feature probe enables them) and selected at runtime by
-/// simd::dispatch. All function pointers are always non-null.
+/// simd::dispatch. All function pointers are always non-null; a variant
+/// without its own version of a slot points it at the scalar reference.
 struct SadKernels {
   /// Full-block SAD with the row-group early-exit contract above.
   SadFn sad;
@@ -103,6 +130,12 @@ struct SadKernels {
   /// (y = 0, 2, 4, ...). Matches me::DecimationPattern::kRowSkip2to1.
   SadPatternFn sad_rowskip;
 
+  /// Forward 8×8 DCT (see ForwardDctFn).
+  ForwardDctFn fdct8x8;
+
+  /// Inverse 8×8 DCT with rounding and clamping (see InverseDctToIntFn).
+  InverseDctToIntFn idct8x8_to_int;
+
   /// Stable lowercase identifier: "scalar", "sse2", "avx2". Used by the
   /// --kernel CLI flag and bench output.
   const char* name;
@@ -115,6 +148,36 @@ namespace detail {
 [[nodiscard]] const SadKernels* scalar_kernels();
 [[nodiscard]] const SadKernels* sse2_kernels();
 [[nodiscard]] const SadKernels* avx2_kernels();
+
+/// The scalar transforms every variant reproduces bit for bit
+/// (dct_scalar.cpp). inverse_dct8x8_scalar is the unrounded double form
+/// of the inverse; the other two back the scalar table's slots.
+void forward_dct8x8_scalar(const std::int16_t* in, double* out);
+void inverse_dct8x8_scalar(const double* in, double* out);
+void inverse_dct8x8_to_int_scalar(const std::int16_t* in, std::int16_t* out,
+                                  int limit);
+
+/// The orthonormal DCT basis the scalar transforms use, row-major:
+/// b[u·8 + x] = 0.5·C(u)·cos((2x+1)uπ/16) with C(0) = 1/√2. noexcept, so
+/// a caller that caches a copy in a function-local static needs no
+/// exception-cleanup path for its initialisation.
+[[nodiscard]] const double* dct_basis() noexcept;
+
+/// The AVX2 transforms (dct_avx2.cpp); only defined where the AVX2 variant
+/// is compiled in.
+void forward_dct8x8_avx2(const std::int16_t* in, double* out);
+void inverse_dct8x8_to_int_avx2(const std::int16_t* in, std::int16_t* out,
+                                int limit);
+
+/// Rounds `n` doubles (a multiple of 8) half away from zero and clamps them
+/// to [-limit, limit] with the AVX2 inverse transform's vector code, so
+/// tests can drive its std::lround emulation directly.
+using RoundClampFn = void (*)(const double* in, std::int16_t* out, int n,
+                              int limit);
+
+/// The AVX2 rounding step, or nullptr when the AVX2 variant was compiled
+/// out. Callers must also check that the CPU supports AVX2.
+[[nodiscard]] RoundClampFn avx2_round_clamp();
 }  // namespace detail
 
 }  // namespace acbm::simd

@@ -1,4 +1,5 @@
-// Scalar reference implementation of the SAD kernel table.
+// Scalar reference implementation of the kernel table's SAD slots (the
+// transform slots are in dct_scalar.cpp).
 //
 // This is the ground truth: the SSE2/AVX2 variants are tested for exact
 // equality against these loops, and every non-x86 build runs them directly.
@@ -119,8 +120,12 @@ std::uint32_t sad_rowskip_scalar(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
-constexpr SadKernels kScalarTable = {sad_scalar, sad_halfpel_scalar,
-                                     sad_quincunx_scalar, sad_rowskip_scalar,
+constexpr SadKernels kScalarTable = {sad_scalar,
+                                     sad_halfpel_scalar,
+                                     sad_quincunx_scalar,
+                                     sad_rowskip_scalar,
+                                     detail::forward_dct8x8_scalar,
+                                     detail::inverse_dct8x8_to_int_scalar,
                                      "scalar"};
 
 }  // namespace

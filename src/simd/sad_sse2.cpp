@@ -1,4 +1,5 @@
-// SSE2 variant of the SAD kernel table.
+// SSE2 variant of the kernel table (SAD slots; the transform slots hold the
+// scalar reference).
 //
 // One 128-bit PSADBW per 16 samples; rows shorter than a full vector fall
 // back to an 8-byte PSADBW and a scalar tail, so any (bw, bh) is handled and
@@ -164,8 +165,13 @@ std::uint32_t sad_rowskip_sse2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
-constexpr SadKernels kSse2Table = {sad_sse2, sad_halfpel_sse2,
-                                   sad_quincunx_sse2, sad_rowskip_sse2,
+// The transforms have no SSE2 version; their slots hold the scalar reference.
+constexpr SadKernels kSse2Table = {sad_sse2,
+                                   sad_halfpel_sse2,
+                                   sad_quincunx_sse2,
+                                   sad_rowskip_sse2,
+                                   detail::forward_dct8x8_scalar,
+                                   detail::inverse_dct8x8_to_int_scalar,
                                    "sse2"};
 
 }  // namespace
