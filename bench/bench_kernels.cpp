@@ -4,8 +4,8 @@
 // paper artefact; used to sanity-check that the position counts in Table 1
 // translate into real time.
 //
-// The BM_SadKernel/*, BM_SadHalfpel/*, BM_ForwardDct8x8/* and
-// BM_InverseDct8x8/* families are registered once per compiled-and-supported
+// The BM_SadKernel/*, BM_SadRow16x16/*, BM_SadHalfpel/*, BM_ForwardDct8x8/*
+// and BM_InverseDct8x8/* families are registered once per compiled-and-supported
 // SIMD variant (scalar, sse2, avx2) and call that variant's table directly,
 // so one run reports per-variant throughput side by side — the measurement
 // behind docs/BENCHMARKING.md's kernel speedup table. Everything else goes
@@ -67,6 +67,26 @@ void sad_kernel_variant(benchmark::State& state, const simd::SadKernels* k) {
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * 256);
+}
+
+/// One candidate row of FSBM at p = 15: a 16×16 block against 31
+/// horizontally adjacent positions through one variant's sad_row entry.
+/// items/s counts candidates, so its inverse compares directly with the
+/// per-call time of BM_SadKernel16x16/<variant>.
+void sad_row_variant(benchmark::State& state, const simd::SadKernels* k) {
+  constexpr int kCandidates = 31;
+  const video::Plane a = bench_plane(176, 144, 1);
+  const video::Plane b = bench_plane(176, 144, 2);
+  std::uint32_t out[kCandidates];
+  int offset = 0;
+  for (auto _ : state) {
+    k->sad_row(a.row(32) + 32, a.stride(), b.row(32 + (offset & 7)) + 17,
+               b.stride(), 16, 16, kCandidates, out);
+    benchmark::DoNotOptimize(out);
+    ++offset;
+  }
+  state.SetItemsProcessed(state.iterations() * kCandidates);
+  state.SetBytesProcessed(state.iterations() * kCandidates * 256);
 }
 
 void sad_kernel_early_exit_variant(benchmark::State& state,
@@ -179,6 +199,8 @@ void register_kernel_variant_benchmarks() {
     const std::string suffix = k->name;
     benchmark::RegisterBenchmark(("BM_SadKernel16x16/" + suffix).c_str(),
                                  sad_kernel_variant, k);
+    benchmark::RegisterBenchmark(("BM_SadRow16x16/" + suffix).c_str(),
+                                 sad_row_variant, k);
     benchmark::RegisterBenchmark(
         ("BM_SadKernelEarlyExit/" + suffix).c_str(),
         sad_kernel_early_exit_variant, k);

@@ -14,6 +14,14 @@ std::uint32_t sad_block(const video::Plane& cur, int cx, int cy,
                bw, bh, early_exit);
 }
 
+void sad_block_row(const video::Plane& cur, int cx, int cy,
+                   const video::Plane& ref, int rx, int ry, int bw, int bh,
+                   int n, std::uint32_t* out) {
+  const simd::SadKernels& k = simd::active_kernels();
+  k.sad_row(cur.row(cy) + cx, cur.stride(), ref.row(ry) + rx, ref.stride(),
+            bw, bh, n, out);
+}
+
 std::uint32_t sad_block_halfpel(const video::Plane& cur, int cx, int cy,
                                 const video::HalfpelPlanes& ref, int hx,
                                 int hy, int bw, int bh,

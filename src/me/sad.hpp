@@ -41,6 +41,17 @@ inline constexpr std::uint32_t kNoEarlyExit = 0xFFFFFFFFu;
                                       int bw, int bh,
                                       std::uint32_t early_exit = kNoEarlyExit);
 
+/// @brief Full SADs (no early exit) of the `bw`×`bh` block of `cur` at
+/// (cx, cy) against the `n` reference blocks at (rx + i, ry), i in [0, n),
+/// written to out[0..n). Equal, value for value, to n sad_block calls.
+///
+/// Routes through the active table's multi-candidate sad_row slot, which
+/// loads the current block once per group of candidates. Reads reference
+/// columns [rx, rx + bw + n − 1) of rows [ry, ry + bh).
+void sad_block_row(const video::Plane& cur, int cx, int cy,
+                   const video::Plane& ref, int rx, int ry, int bw, int bh,
+                   int n, std::uint32_t* out);
+
 /// @brief SAD against a half-pel reference position. (hx, hy) is the
 /// half-pel coordinate of the reference block origin: hx = 2·rx + phase.
 ///

@@ -2,14 +2,19 @@
 // Shared best-candidate tracking for all search algorithms.
 //
 // SearchState centralises three concerns every search loop has:
-//   * evaluating a candidate through the single SAD entry point — which
-//     routes through the runtime-dispatched SIMD kernel table via
-//     me::sad_block_halfpel — so the position counters behind Table 1
-//     cannot drift between algorithms or kernel variants,
+//   * counting: offer() is the single point where a candidate's SAD is
+//     counted as a position, added to the Σ SAD of the Fig. 4
+//     characterization and weighed by the motion cost, so the counters
+//     behind Table 1 cannot drift between algorithms or kernel variants,
 //   * window membership,
 //   * deterministic tie-breaking (cost, then |mv|∞, then raster order),
 // plus an optional visited-set so pattern searches that revisit points
 // (4SS/DS/CDS) neither recount nor recompute them.
+//
+// Pattern searches call try_candidate(), which checks the window and the
+// visited set, computes one SAD through me::sad_block_halfpel and offers
+// it. FSBM's integer scan computes a whole candidate row with one
+// me::sad_block_row call and offers the results in raster order.
 
 #include <algorithm>
 #include <cstdint>
@@ -34,9 +39,18 @@ class SearchState {
     if (track_visited_ && !mark_visited(cand)) {
       return false;
     }
-    const std::uint32_t sad = sad_block_halfpel(
-        *ctx_->cur, ctx_->x, ctx_->y, *ctx_->ref, ctx_->x * 2 + cand.x,
-        ctx_->y * 2 + cand.y, ctx_->bw, ctx_->bh);
+    return offer(cand, sad_block_halfpel(*ctx_->cur, ctx_->x, ctx_->y,
+                                         *ctx_->ref, ctx_->x * 2 + cand.x,
+                                         ctx_->y * 2 + cand.y, ctx_->bw,
+                                         ctx_->bh));
+  }
+
+  /// Records `cand` (half-pel units, inside the window) with its exact,
+  /// already computed SAD: counts one position, adds `sad` to sad_sum()
+  /// and keeps the candidate if it beats the best so far. Returns true
+  /// when the candidate became the new best. Performs no window or
+  /// visited check — the caller guarantees both.
+  bool offer(Mv cand, std::uint32_t sad) {
     ++positions_;
     sad_sum_ += sad;
     const std::uint64_t cost = ctx_->cost.cost_fixed(sad, cand);

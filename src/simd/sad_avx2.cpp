@@ -130,6 +130,84 @@ std::uint32_t sad_avx2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
+// ------------------------------------------------ multi-candidate row SAD
+//
+// bw == 16 with an even height up to 16 rows: the current block is packed
+// once per call into two-row YMM values, and each pass matches four
+// adjacent candidates with one VPSADBW per row pair and candidate, then
+// sums the four accumulators in one horizontal step. Other block sizes run
+// sad_avx2 per candidate.
+
+/// Sums each of four VPSADBW accumulators across its lanes and stores the
+/// four totals to out[0..3].
+inline void store_hsum4(__m256i a0, __m256i a1, __m256i a2, __m256i a3,
+                        std::uint32_t* out) {
+  // Every 64-bit lane holds a value < 2^32, so two accumulators interleave
+  // losslessly into the 32-bit halves of one register.
+  const __m256i t01 = _mm256_or_si256(a0, _mm256_slli_epi64(a1, 32));
+  const __m256i t23 = _mm256_or_si256(a2, _mm256_slli_epi64(a3, 32));
+  const __m256i u = _mm256_add_epi32(_mm256_unpacklo_epi64(t01, t23),
+                                     _mm256_unpackhi_epi64(t01, t23));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_add_epi32(_mm256_castsi256_si128(u),
+                                 _mm256_extracti128_si256(u, 1)));
+}
+
+constexpr int kRowMaxPairs = 8;  // 16 rows
+
+void sad_row_avx2(const std::uint8_t* cur, int cur_stride,
+                  const std::uint8_t* ref, int ref_stride, int bw, int bh,
+                  int n, std::uint32_t* out) {
+  if (bw != 16 || bh % 2 != 0 || bh > 2 * kRowMaxPairs) {
+    for (int i = 0; i < n; ++i) {
+      out[i] =
+          sad_avx2(cur, cur_stride, ref + i, ref_stride, bw, bh, 0xFFFFFFFFu);
+    }
+    return;
+  }
+  const int pairs = bh / 2;
+  __m256i c[kRowMaxPairs];
+  for (int p = 0; p < pairs; ++p) {
+    const std::uint8_t* a =
+        cur + static_cast<std::ptrdiff_t>(2 * p) * cur_stride;
+    c[p] = load_two_rows(a, a + cur_stride);
+  }
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    __m256i acc2 = _mm256_setzero_si256();
+    __m256i acc3 = _mm256_setzero_si256();
+    // Kept rolled: fully unrolled, GCC reassociates the four accumulator
+    // chains into trees and spills them (about 10% slower per candidate).
+#pragma GCC unroll 1
+    for (int p = 0; p < pairs; ++p) {
+      const std::uint8_t* r0 =
+          ref + static_cast<std::ptrdiff_t>(2 * p) * ref_stride + i;
+      const std::uint8_t* r1 = r0 + ref_stride;
+      acc0 = _mm256_add_epi64(
+          acc0, _mm256_sad_epu8(c[p], load_two_rows(r0, r1)));
+      acc1 = _mm256_add_epi64(
+          acc1, _mm256_sad_epu8(c[p], load_two_rows(r0 + 1, r1 + 1)));
+      acc2 = _mm256_add_epi64(
+          acc2, _mm256_sad_epu8(c[p], load_two_rows(r0 + 2, r1 + 2)));
+      acc3 = _mm256_add_epi64(
+          acc3, _mm256_sad_epu8(c[p], load_two_rows(r0 + 3, r1 + 3)));
+    }
+    store_hsum4(acc0, acc1, acc2, acc3, out + i);
+  }
+  for (; i < n; ++i) {
+    __m256i acc = _mm256_setzero_si256();
+    for (int p = 0; p < pairs; ++p) {
+      const std::uint8_t* r0 =
+          ref + static_cast<std::ptrdiff_t>(2 * p) * ref_stride + i;
+      acc = _mm256_add_epi64(
+          acc, _mm256_sad_epu8(c[p], load_two_rows(r0, r0 + ref_stride)));
+    }
+    out[i] = hsum_sad256(acc);
+  }
+}
+
 // --------------------------------------------------- fused half-pel + SAD
 //
 // Same phase arithmetic as the SSE2 variant (VPAVGB for H/V — its rounding
@@ -312,6 +390,7 @@ std::uint32_t sad_rowskip_avx2(const std::uint8_t* cur, int cur_stride,
 }
 
 constexpr SadKernels kAvx2Table = {sad_avx2,
+                                   sad_row_avx2,
                                    sad_halfpel_avx2,
                                    sad_quincunx_avx2,
                                    sad_rowskip_avx2,

@@ -12,12 +12,22 @@
 // tests/simd_transform_test.cpp hold the SSE2/AVX2 variants to exact
 // equality over randomized inputs.
 //
+// Slots, in table order:
+//   sad                        full-block SAD, row-group early-exit bound
+//   sad_row                    full SADs of one block against n
+//                              horizontally adjacent candidates (FSBM's
+//                              integer scan)
+//   sad_halfpel                fused half-pel interpolate + SAD
+//   sad_quincunx, sad_rowskip  the two decimated SAD patterns
+//   fdct8x8, idct8x8_to_int    the 8×8 transforms
+//
 // Kernels operate on raw row pointers + strides rather than video::Plane so
 // the ISA translation units depend on nothing but this header. Callers are
 // responsible for bounds: a SAD kernel reads exactly `bw` samples from each
 // of `bh` rows (every other row for the decimated patterns) starting at the
 // given pointers — no overread, which keeps the kernels sanitizer-clean
-// against video::Plane's border guarantee.
+// against video::Plane's border guarantee. sad_row reads the union of its
+// candidates' footprints: `bw + n − 1` samples from each reference row.
 
 #include <cstdint>
 
@@ -50,6 +60,18 @@ inline constexpr int kEarlyExitRowQuantum = 4;
 using SadFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
                                 const std::uint8_t* ref, int ref_stride,
                                 int bw, int bh, std::uint32_t early_exit);
+
+/// @brief Full SADs of one block against `n` horizontally adjacent
+/// reference positions.
+///
+/// Sets out[i] = the SadFn value of (cur, ref + i) with no early-exit bound,
+/// for i in [0, n). The kernel loads each current row once per group of
+/// candidates instead of once per candidate (x264's sad_x4), and pays for
+/// no early-exit checkpoints. Same pointer/stride conventions as SadFn;
+/// n ≥ 1. Every variant writes the same values as the scalar reference.
+using SadRowFn = void (*)(const std::uint8_t* cur, int cur_stride,
+                          const std::uint8_t* ref, int ref_stride, int bw,
+                          int bh, int n, std::uint32_t* out);
 
 /// @brief Decimated SAD (no early exit — decimation already bounds the work).
 /// Same pointer/stride conventions as SadFn.
@@ -112,6 +134,10 @@ using InverseDctToIntFn = void (*)(const std::int16_t* in, std::int16_t* out,
 struct SadKernels {
   /// Full-block SAD with the row-group early-exit contract above.
   SadFn sad;
+
+  /// Full SADs against n horizontally adjacent candidates (see SadRowFn).
+  /// FSBM's integer scan calls it once per candidate row.
+  SadRowFn sad_row;
 
   /// Fused interpolate+SAD against the integer-pel reference (see
   /// SadHalfpelFn). me::sad_block_halfpel resolves half-pel coordinates to

@@ -43,6 +43,15 @@ std::uint32_t sad_scalar(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
+void sad_row_scalar(const std::uint8_t* cur, int cur_stride,
+                    const std::uint8_t* ref, int ref_stride, int bw, int bh,
+                    int n, std::uint32_t* out) {
+  for (int i = 0; i < n; ++i) {
+    out[i] = sad_scalar(cur, cur_stride, ref + i, ref_stride, bw, bh,
+                        0xFFFFFFFFu);
+  }
+}
+
 /// One row of |cur − interp(ref)| for a non-integer phase. r0/r1 are the
 /// integer rows bracketing the half-pel position vertically (r1 == r0 for
 /// the pure-H phase).
@@ -121,6 +130,7 @@ std::uint32_t sad_rowskip_scalar(const std::uint8_t* cur, int cur_stride,
 }
 
 constexpr SadKernels kScalarTable = {sad_scalar,
+                                     sad_row_scalar,
                                      sad_halfpel_scalar,
                                      sad_quincunx_scalar,
                                      sad_rowskip_scalar,

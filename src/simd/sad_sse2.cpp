@@ -80,6 +80,66 @@ std::uint32_t sad_sse2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
+// ------------------------------------------------ multi-candidate row SAD
+//
+// bw == 16: each current row is loaded once per pass and matched against
+// four adjacent candidates, one PSADBW per row and candidate. Other widths
+// run sad_sse2 per candidate.
+
+void sad_row_sse2(const std::uint8_t* cur, int cur_stride,
+                  const std::uint8_t* ref, int ref_stride, int bw, int bh,
+                  int n, std::uint32_t* out) {
+  if (bw != 16) {
+    for (int i = 0; i < n; ++i) {
+      out[i] = sad_sse2(cur, cur_stride, ref + i, ref_stride, bw, bh,
+                        0xFFFFFFFFu);
+    }
+    return;
+  }
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m128i acc0 = _mm_setzero_si128();
+    __m128i acc1 = _mm_setzero_si128();
+    __m128i acc2 = _mm_setzero_si128();
+    __m128i acc3 = _mm_setzero_si128();
+    for (int y = 0; y < bh; ++y) {
+      const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+          cur + static_cast<std::ptrdiff_t>(y) * cur_stride));
+      const std::uint8_t* r =
+          ref + static_cast<std::ptrdiff_t>(y) * ref_stride + i;
+      acc0 = _mm_add_epi64(
+          acc0, _mm_sad_epu8(c, _mm_loadu_si128(
+                                    reinterpret_cast<const __m128i*>(r))));
+      acc1 = _mm_add_epi64(
+          acc1, _mm_sad_epu8(c, _mm_loadu_si128(
+                                    reinterpret_cast<const __m128i*>(r + 1))));
+      acc2 = _mm_add_epi64(
+          acc2, _mm_sad_epu8(c, _mm_loadu_si128(
+                                    reinterpret_cast<const __m128i*>(r + 2))));
+      acc3 = _mm_add_epi64(
+          acc3, _mm_sad_epu8(c, _mm_loadu_si128(
+                                    reinterpret_cast<const __m128i*>(r + 3))));
+    }
+    out[i] = hsum_sad128(acc0);
+    out[i + 1] = hsum_sad128(acc1);
+    out[i + 2] = hsum_sad128(acc2);
+    out[i + 3] = hsum_sad128(acc3);
+  }
+  for (; i < n; ++i) {
+    __m128i acc = _mm_setzero_si128();
+    for (int y = 0; y < bh; ++y) {
+      const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+          cur + static_cast<std::ptrdiff_t>(y) * cur_stride));
+      const std::uint8_t* r =
+          ref + static_cast<std::ptrdiff_t>(y) * ref_stride + i;
+      acc = _mm_add_epi64(
+          acc, _mm_sad_epu8(c, _mm_loadu_si128(
+                                   reinterpret_cast<const __m128i*>(r))));
+    }
+    out[i] = hsum_sad128(acc);
+  }
+}
+
 // --------------------------------------------------- fused half-pel + SAD
 //
 // Row arithmetic lives in sad_halfpel_rows.hpp (shared with the AVX2 TU):
@@ -167,6 +227,7 @@ std::uint32_t sad_rowskip_sse2(const std::uint8_t* cur, int cur_stride,
 
 // The transforms have no SSE2 version; their slots hold the scalar reference.
 constexpr SadKernels kSse2Table = {sad_sse2,
+                                   sad_row_sse2,
                                    sad_halfpel_sse2,
                                    sad_quincunx_sse2,
                                    sad_rowskip_sse2,

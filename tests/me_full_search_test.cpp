@@ -1,18 +1,98 @@
 // FSBM: optimality, position counts (the paper's 969), half-pel refinement,
-// SAD_deviation bookkeeping, and half-pel recovery of true sub-pel motion.
+// SAD_deviation bookkeeping, half-pel recovery of true sub-pel motion, and
+// equivalence of the row-kernel integer scan with a per-candidate scan.
 
 #include "me/full_search.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "me/halfpel.hpp"
 #include "me/sad.hpp"
+#include "me/search_support.hpp"
+#include "simd/dispatch.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace acbm::me {
 namespace {
 
 using acbm::test::SearchFixture;
 using acbm::test::shifted_pair;
+
+/// FSBM computed the slow way: one SearchState::try_candidate per integer
+/// position in raster order, then the half-pel refinement.
+FullSearchResult reference_full_search(const BlockContext& ctx) {
+  SearchState state(ctx);
+  const int min_x = ctx.window.min_x + (ctx.window.min_x & 1);
+  const int min_y = ctx.window.min_y + (ctx.window.min_y & 1);
+  for (int my = min_y; my <= ctx.window.max_y; my += 2) {
+    for (int mx = min_x; mx <= ctx.window.max_x; mx += 2) {
+      state.try_candidate({mx, my});
+    }
+  }
+  FullSearchResult full;
+  full.best_integer_mv = state.best_mv();
+  full.best_integer_sad = state.best_sad();
+  full.integer_positions = state.positions();
+  full.integer_sad_sum = state.sad_sum();
+  refine_halfpel(state);
+  full.best = state.result();
+  full.best.used_full_search = true;
+  return full;
+}
+
+/// Restores the default (auto) kernel selection when a test exits.
+struct KernelSelectionGuard {
+  ~KernelSelectionGuard() { simd::select_kernels(simd::KernelIsa::kAuto); }
+};
+
+/// Checks FullSearch's row-kernel scan against reference_full_search under
+/// every available kernel variant; the reference runs on the scalar table.
+void expect_matches_reference(const BlockContext& ctx,
+                              const std::string& label) {
+  KernelSelectionGuard guard;
+  ASSERT_TRUE(simd::select_kernels(simd::KernelIsa::kScalar));
+  const FullSearchResult want = reference_full_search(ctx);
+  for (const std::string& kernel : simd::available_kernel_names()) {
+    ASSERT_TRUE(simd::select_kernels_by_name(kernel));
+    FullSearch fsbm;
+    const EstimateResult est = fsbm.estimate(ctx);
+    EXPECT_EQ(est.mv, want.best.mv) << label << " " << kernel;
+    EXPECT_EQ(est.sad, want.best.sad) << label << " " << kernel;
+    EXPECT_EQ(est.positions, want.best.positions) << label << " " << kernel;
+    const FullSearchResult got = fsbm.search_full(ctx);
+    EXPECT_EQ(got.best.mv, want.best.mv) << label << " " << kernel;
+    EXPECT_EQ(got.best.sad, want.best.sad) << label << " " << kernel;
+    EXPECT_EQ(got.best.positions, want.best.positions)
+        << label << " " << kernel;
+    EXPECT_EQ(got.best_integer_mv, want.best_integer_mv)
+        << label << " " << kernel;
+    EXPECT_EQ(got.best_integer_sad, want.best_integer_sad)
+        << label << " " << kernel;
+    EXPECT_EQ(got.integer_positions, want.integer_positions)
+        << label << " " << kernel;
+    EXPECT_EQ(got.integer_sad_sum, want.integer_sad_sum)
+        << label << " " << kernel;
+    EXPECT_EQ(got.sad_deviation(), want.sad_deviation())
+        << label << " " << kernel;
+  }
+}
+
+/// A plane of 0/1 samples: many candidates tie, so the tie-break decides.
+video::Plane two_level_plane(int w, int h, std::uint64_t seed) {
+  video::Plane p(w, h);
+  util::Rng rng(seed);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      p.set(x, y, static_cast<std::uint8_t>(rng.next_below(2)));
+    }
+  }
+  p.extend_border();
+  return p;
+}
 
 TEST(FullSearch, FindsExactIntegerShift) {
   for (const auto& [dx, dy] : {std::pair{0, 0}, std::pair{3, -2},
@@ -142,6 +222,55 @@ TEST(FullSearch, TieBreakPrefersShorterVector) {
 TEST(FullSearch, NameIsFsbm) {
   FullSearch fsbm;
   EXPECT_EQ(fsbm.name(), "FSBM");
+}
+
+TEST(FullSearchRowKernel, MatchesTryCandidateScanAcrossRanges) {
+  // p = 31 gives 63 candidates per row, more than one kernel call.
+  const SearchFixture random(acbm::test::random_plane(128, 128, 70),
+                             acbm::test::random_plane(128, 128, 71));
+  const SearchFixture ties(two_level_plane(128, 128, 72),
+                           two_level_plane(128, 128, 73));
+  for (const int p : {1, 7, 15, 16, 31}) {
+    for (const SearchFixture* fx : {&random, &ties}) {
+      BlockContext ctx = fx->context(48, 48, p);
+      expect_matches_reference(ctx, "p=" + std::to_string(p));
+      // Rate-aware cost: λ > 0 with a non-zero predictor.
+      ctx.cost = MotionCost(3.5, Mv{5, -3});
+      expect_matches_reference(ctx, "lambda p=" + std::to_string(p));
+      ctx.half_pel = false;
+      expect_matches_reference(ctx, "integer p=" + std::to_string(p));
+    }
+  }
+}
+
+TEST(FullSearchRowKernel, MatchesTryCandidateScanInRestrictedWindows) {
+  const SearchFixture fx(acbm::test::random_plane(96, 80, 80),
+                         acbm::test::random_plane(96, 80, 81));
+  struct Case {
+    int x, y, p, slack;
+  };
+  // Blocks at the picture's corners and edges, with and without slack.
+  const Case cases[] = {{0, 0, 15, 0},   {80, 64, 15, 0}, {0, 32, 31, 2},
+                        {80, 0, 16, 7},  {32, 64, 7, 3},  {16, 16, 31, 0},
+                        {48, 32, 31, 5}, {64, 48, 1, 0}};
+  for (const Case& c : cases) {
+    BlockContext ctx = fx.context(c.x, c.y, c.p);
+    ctx.window = restricted_window(c.p, c.x, c.y, 16, 16, 96, 80, c.slack);
+    expect_matches_reference(ctx, "restricted x=" + std::to_string(c.x) +
+                                      " y=" + std::to_string(c.y) +
+                                      " p=" + std::to_string(c.p));
+  }
+  // Odd half-pel bounds: the integer grid starts at the next even
+  // coordinate and ends at the previous one; the last window has no
+  // integer column at all.
+  const SearchWindow odd[] = {
+      {-29, 27, -5, 31}, {-61, 61, -3, 3}, {1, 63, -63, -1}, {3, 3, -4, 4}};
+  for (const SearchWindow& w : odd) {
+    BlockContext ctx = fx.context(40, 32, 31);
+    ctx.window = w;
+    expect_matches_reference(ctx, "odd [" + std::to_string(w.min_x) + "," +
+                                      std::to_string(w.max_x) + "]");
+  }
 }
 
 class FullSearchRangeTest : public ::testing::TestWithParam<int> {};

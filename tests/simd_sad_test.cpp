@@ -1,11 +1,14 @@
 // Kernel parity: every compiled-and-supported SIMD SAD variant must return
 // EXACTLY the scalar reference's value — full-block SAD (including the
-// partial totals produced by the row-group early-exit contract), quincunx
-// and row-skip decimation — over randomized block sizes, offsets (border
-// included) and thresholds. Plus the dispatch API's invariants.
+// partial totals produced by the row-group early-exit contract), the
+// multi-candidate row slot, quincunx and row-skip decimation — over
+// randomized block sizes, offsets (border included) and thresholds. Plus
+// the dispatch API's invariants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -46,12 +49,14 @@ TEST(SimdDispatch, TablesAreFullyPopulated) {
        {kernels_for(KernelIsa::kScalar), kernels_for(KernelIsa::kAuto)}) {
     ASSERT_NE(t, nullptr);
     EXPECT_NE(t->sad, nullptr);
+    EXPECT_NE(t->sad_row, nullptr);
     EXPECT_NE(t->sad_halfpel, nullptr);
     EXPECT_NE(t->sad_quincunx, nullptr);
     EXPECT_NE(t->sad_rowskip, nullptr);
   }
   for (const SadKernels* t : vector_variants()) {
     EXPECT_NE(t->sad, nullptr);
+    EXPECT_NE(t->sad_row, nullptr);
     EXPECT_NE(t->sad_halfpel, nullptr);
     EXPECT_NE(t->sad_quincunx, nullptr);
     EXPECT_NE(t->sad_rowskip, nullptr);
@@ -164,6 +169,79 @@ TEST(SimdSadParity, EarlyExitStopsAtSharedCheckpoints) {
     EXPECT_EQ(t->sad(a, cur.stride(), b, ref.stride(), 16, 16, bound),
               scalar_partial)
         << t->name;
+  }
+}
+
+TEST(SimdSadParity, RowSlotMatchesPerCandidateSad) {
+  // out[i] of the multi-candidate slot must equal the scalar full-block SAD
+  // against ref + i, for every variant, every candidate count through the
+  // 4-wide body and each tail, 16-wide fast paths and generic fallbacks, and
+  // unequal strides. Entries past n stay untouched.
+  const SadKernels& scalar = *detail::scalar_kernels();
+  std::vector<const SadKernels*> tables = {&scalar};
+  for (const SadKernels* t : vector_variants()) {
+    tables.push_back(t);
+  }
+  const video::Plane cur = test::random_plane(64, 64, 505);
+  const video::Plane ref = test::random_plane(112, 64, 606);
+  ASSERT_NE(cur.stride(), ref.stride());
+
+  constexpr int kMaxCandidates = 33;
+  constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
+  struct Dim {
+    int bw, bh;
+  };
+  const Dim dims[] = {{16, 16}, {16, 8}, {8, 8}, {17, 5}, {32, 16}};
+  util::Rng rng(999);
+  for (const Dim& d : dims) {
+    for (int n = 1; n <= kMaxCandidates; ++n) {
+      const int cx = static_cast<int>(rng.next_below(40));
+      const int cy = static_cast<int>(rng.next_below(40));
+      const int rx = static_cast<int>(rng.next_below(40)) - 20;
+      const int ry = static_cast<int>(rng.next_below(40)) - 16;
+      const std::uint8_t* a = cur.row(cy) + cx;
+      const std::uint8_t* b = ref.row(ry) + rx;
+      for (const SadKernels* t : tables) {
+        std::uint32_t out[kMaxCandidates + 1];
+        std::fill(std::begin(out), std::end(out), kSentinel);
+        t->sad_row(a, cur.stride(), b, ref.stride(), d.bw, d.bh, n, out);
+        for (int i = 0; i < n; ++i) {
+          EXPECT_EQ(out[i], scalar.sad(a, cur.stride(), b + i, ref.stride(),
+                                       d.bw, d.bh, me::kNoEarlyExit))
+              << t->name << " " << d.bw << "x" << d.bh << " n=" << n
+              << " i=" << i;
+        }
+        EXPECT_EQ(out[n], kSentinel) << t->name << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdSadParity, RowSlotReadsOnlyTheCandidateFootprints) {
+  // The reference rows are sized to exactly bw + n − 1 samples and held in
+  // a heap buffer of exactly the union of the n footprints, so a sanitizer
+  // build reports any overread. The all-0 block against all-255 samples
+  // also gives the largest 16×16 SAD, 65280.
+  constexpr int kBw = 16;
+  constexpr int kBh = 16;
+  std::vector<const SadKernels*> tables = {detail::scalar_kernels()};
+  for (const SadKernels* t : vector_variants()) {
+    tables.push_back(t);
+  }
+  const std::vector<std::uint8_t> cur(static_cast<std::size_t>(kBw * kBh), 0);
+  for (const int n : {1, 3, 4, 5, 31, 32, 33}) {
+    const int ref_stride = kBw + n - 1;
+    const std::vector<std::uint8_t> ref(
+        static_cast<std::size_t>(ref_stride * kBh), 255);
+    for (const SadKernels* t : tables) {
+      std::vector<std::uint32_t> out(static_cast<std::size_t>(n), 0);
+      t->sad_row(cur.data(), kBw, ref.data(), ref_stride, kBw, kBh, n,
+                 out.data());
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(out[static_cast<std::size_t>(i)], 65280u)
+            << t->name << " n=" << n << " i=" << i;
+      }
+    }
   }
 }
 
