@@ -91,14 +91,6 @@ Decoder::Decoder(std::span<const std::uint8_t> data,
   shared_pool_ = &shared_pool;
 }
 
-Decoder::Decoder(std::span<const std::uint8_t> data, int threads)
-    : Decoder(data, DecoderConfig{.threads = threads}) {}
-
-Decoder::Decoder(std::span<const std::uint8_t> data,
-                 util::ThreadPool& shared_pool)
-    : Decoder(data, DecoderConfig{.threads = shared_pool.size()},
-              shared_pool) {}
-
 Decoder::~Decoder() = default;
 
 std::optional<video::Frame> Decoder::decode_frame() {
@@ -405,12 +397,12 @@ void Decoder::decode_slice_payloads(std::vector<SliceEntry>& slices,
     if (!queue_) {
       queue_ = std::make_unique<util::ThreadPool::Queue>(*pool);
     }
-    // Group wait, not wait_idle: on a shared pool an idle wait would block
-    // on (and be woken by) every other session's traffic.
+    // A group wait covers only this decoder's slices, not every other
+    // session's traffic on a shared pool.
     util::TaskGroup group;
     for (SliceEntry& entry : slices) {
       pool->submit(
-          *queue_, [&decode_one, &entry] { decode_one(entry); }, &group);
+          *queue_, [&decode_one, &entry] { decode_one(entry); }, group);
     }
     pool->wait(group);
   } else {

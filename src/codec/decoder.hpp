@@ -110,7 +110,8 @@ class Decoder {
  public:
   /// Parses the sequence header; throws DecodeError when the data is not an
   /// ACV1/ACV2 stream. The buffer is copied so the decoder owns its input.
-  Decoder(std::span<const std::uint8_t> data, const DecoderConfig& config);
+  explicit Decoder(std::span<const std::uint8_t> data,
+                   const DecoderConfig& config = {});
 
   /// Shared-pool variant: slice-parallel decoding runs on one FIFO lane of
   /// `shared_pool` (which must outlive the decoder) instead of a pool built
@@ -121,14 +122,6 @@ class Decoder {
   /// size applies).
   Decoder(std::span<const std::uint8_t> data, const DecoderConfig& config,
           util::ThreadPool& shared_pool);
-
-  /// Deprecated: thin wrapper over the DecoderConfig constructor, kept for
-  /// source compatibility (byte-/sample-identical to the old behaviour).
-  /// Prefer Decoder(data, DecoderConfig{.threads = n}).
-  explicit Decoder(std::span<const std::uint8_t> data, int threads = 1);
-
-  /// Deprecated: wrapper over the shared-pool DecoderConfig constructor.
-  Decoder(std::span<const std::uint8_t> data, util::ThreadPool& shared_pool);
 
   ~Decoder();
 

@@ -108,9 +108,15 @@ Encoder::Encoder(video::PictureSize size, const EncoderConfig& config,
   // so callers can pass "slices = threads" without sizing logic.
   slices_ = std::clamp(config.slices, 1, std::min(size.height / kMb,
                                                   kMaxSlices));
-  pipeline_ = shared_pool != nullptr
-                  ? std::make_unique<EncoderPipeline>(*this, *shared_pool)
-                  : std::make_unique<EncoderPipeline>(*this, config.parallel);
+  if (shared_pool == nullptr) {
+    // One thread means the caller's: a pool without workers runs every task
+    // inside encode_frame's wait.
+    const int threads =
+        util::ThreadPool::resolve_thread_count(config.parallel.threads);
+    own_pool_ = std::make_unique<util::ThreadPool>(threads == 1 ? 0 : threads);
+    shared_pool = own_pool_.get();
+  }
+  pipeline_ = std::make_unique<EncoderPipeline>(*this, *shared_pool);
   write_sequence_header();
 }
 
@@ -145,16 +151,24 @@ FrameReport Encoder::encode_frame(const video::Frame& src) {
   return pipeline_->encode_frame(src);
 }
 
+void Encoder::require_shared_pool() const {
+  // An owned pool may have no workers, and then nothing would run a frame
+  // that no encode_frame waits for.
+  if (own_pool_ != nullptr) {
+    throw std::logic_error(
+        "Encoder::submit_frame requires a shared-pool (service) encoder");
+  }
+}
+
 std::future<EncodedFrame> Encoder::submit_frame(video::Frame src) {
-  assert(!finished_);
-  assert(src.width() == size_.width && src.height() == size_.height);
-  return pipeline_->submit_frame(std::move(src));
+  return submit_frame(std::move(src), SubmitOptions{});
 }
 
 std::future<EncodedFrame> Encoder::submit_frame(video::Frame src,
                                                 const SubmitOptions& options) {
   assert(!finished_);
   assert(src.width() == size_.width && src.height() == size_.height);
+  require_shared_pool();
   return pipeline_->submit_frame(std::move(src), options);
 }
 
@@ -162,6 +176,7 @@ std::optional<std::future<EncodedFrame>> Encoder::try_submit_frame(
     video::Frame src, const SubmitOptions& options) {
   assert(!finished_);
   assert(src.width() == size_.width && src.height() == size_.height);
+  require_shared_pool();
   return pipeline_->try_submit_frame(std::move(src), options);
 }
 

@@ -74,23 +74,19 @@ inline constexpr std::uint32_t kSliceSync = 0x534C;
 /// u8 on the wire bounds the per-frame slice count.
 inline constexpr int kMaxSlices = 255;
 
-/// Threading knobs for the encoding pipeline. The motion-estimation stage
-/// runs row-parallel in wavefront order (row N may lead row N+1 by at least
-/// two macroblocks), which keeps every spatial predictor a block reads —
-/// left, above, above-right — computed before the read. Each worker owns a
-/// clone() of the caller's estimator; per-sequence statistics flow back via
-/// MotionEstimator::merge_stats after every frame, so the primary
-/// estimator's totals match a serial run exactly.
+/// Threading knobs for a standalone encoder's pool. The motion-estimation
+/// stage runs row-parallel in wavefront order (row N may lead row N+1 by at
+/// least two macroblocks), which keeps every spatial predictor a block
+/// reads — left, above, above-right — computed before the read. Pool worker
+/// 0 runs the caller's estimator; every other worker owns a clone() of it,
+/// whose per-sequence statistics flow back via MotionEstimator::merge_stats
+/// after every frame, so the primary estimator's totals match a one-thread
+/// run exactly. Output bytes never depend on the thread count.
 struct ParallelConfig {
-  /// Worker threads for the parallel stages: 1 = serial (default),
-  /// 0 = one per hardware thread, N = exactly N workers.
+  /// Threads the encoder's stages run on: 1 = the caller's thread only
+  /// (default; the encoder's pool has no workers), 0 = one worker per
+  /// hardware thread, N = exactly N workers.
   int threads = 1;
-  /// Bit-exact scheduling. The wavefront order used today is always
-  /// deterministic — serial and N-thread encodes produce identical ACV1
-  /// bytes — so this flag is an API reservation for future relaxed-order
-  /// modes (free-running rows trading determinism for throughput); setting
-  /// it false currently changes nothing.
-  bool deterministic = true;
 };
 
 /// How the encoder chooses each P-frame macroblock's mode.
@@ -178,28 +174,34 @@ class ServiceStatsSink;
 /// Frame encoding is delegated to an EncoderPipeline (codec/pipeline.hpp),
 /// which splits the old monolithic macroblock loop into separable stages —
 /// motion estimation, mode decision, macroblock planning (DCT/quant/RD
-/// candidate costing), entropy coding + reconstruction — and runs the ME,
-/// mode and plan stages across ParallelConfig::threads workers. The
-/// pipeline's output is bit-exact regardless of thread count.
+/// candidate costing), entropy coding + reconstruction — and runs them as
+/// tasks on a util::ThreadPool lane: the encoder's own pool, or one lane of
+/// a service's shared pool. The pipeline's output is bit-exact regardless
+/// of thread count.
 class Encoder {
  public:
+  /// Standalone constructor: the encoder owns a util::ThreadPool sized by
+  /// config.parallel.threads — no workers for threads == 1, so every stage
+  /// runs on the thread calling encode_frame.
+  ///
   /// `estimator` is borrowed and must outlive the encoder — callers keep it
   /// to read algorithm-specific statistics (e.g. core::Acbm::stats()).
-  /// With config.parallel.threads != 1 the pipeline workers run clone()s of
-  /// it (taken lazily at the first parallel frame) and merge their statistics
-  /// back into it after every frame, so stats() reads stay valid and match
-  /// a serial run. The clones snapshot the estimator's configuration at that
-  /// point: reconfiguring it mid-stream (e.g. Acbm::set_params or
-  /// set_record_log after the first P-frame) is only honoured by serial
-  /// encodes — finish the configuration before encoding starts.
+  /// Pool worker 0 runs it directly; with more than one worker the others
+  /// run clone()s of it (taken lazily at the first P-frame) and merge their
+  /// statistics back into it after every frame, so stats() reads stay valid
+  /// and match a one-thread run. The clones snapshot the estimator's
+  /// configuration at that point: reconfiguring it mid-stream (e.g.
+  /// Acbm::set_params or set_record_log after the first P-frame) is only
+  /// honoured by threads == 1 encodes, which take no clone — finish the
+  /// configuration before encoding starts.
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator);
 
-  /// Service-mode constructor: the pipeline runs on `shared_pool` (one lane
-  /// of it) instead of building its own, and frame-level pipelining is
-  /// enabled — submit_frame() overlaps frame t+1's motion estimation with
-  /// frame t's entropy coding, gated per reference row so the bitstream
-  /// stays byte-identical to the single-frame path.
+  /// Service-mode constructor: the pipeline runs on one lane of
+  /// `shared_pool` instead of a pool of its own, and submit_frame() is
+  /// available — it overlaps frame t+1's motion estimation with frame t's
+  /// entropy coding, gated per reference row so the bitstream stays
+  /// byte-identical to one-frame-at-a-time encoding.
   /// `config.parallel.threads` is ignored; the pool must outlive the
   /// encoder. Used by codec::EncoderService / EncodeSession.
   Encoder(video::PictureSize size, const EncoderConfig& config,
@@ -213,15 +215,18 @@ class Encoder {
   Encoder(Encoder&&) = delete;
   Encoder& operator=(Encoder&&) = delete;
 
-  /// Encodes one frame and returns its report.
+  /// Encodes one frame and returns its report. If a stage throws, rethrows
+  /// the frame's SessionError (kEncodeFailed, or kResource for an
+  /// allocation failure) and latches the encoder failed(): every later
+  /// call throws kSessionFailed.
   FrameReport encode_frame(const video::Frame& src);
 
   /// Service mode only (shared-pool constructor): enqueues `src` for
   /// asynchronous, frame-pipelined encoding and returns a future for its
   /// packet. Frames complete in submission order. Throws std::logic_error
-  /// when the encoder was not built on a shared pool. Thread-safe against
-  /// the pool's workers but not against concurrent submitters — one thread
-  /// drives a session.
+  /// when the encoder owns its pool (standalone constructor). Thread-safe
+  /// against the pool's workers but not against concurrent submitters — one
+  /// thread drives a session.
   std::future<EncodedFrame> submit_frame(video::Frame src);
 
   /// Service mode with admission controls (deadline / bounded queue /
@@ -235,14 +240,14 @@ class Encoder {
   std::optional<std::future<EncodedFrame>> try_submit_frame(
       video::Frame src, const SubmitOptions& options);
 
-  /// Blocks until every submit_frame() has resolved. No-op otherwise.
-  /// Returns normally on a failed session (the error already surfaced
-  /// through the per-frame futures).
+  /// Blocks until every submit_frame() has resolved (at once when nothing
+  /// is in flight). Returns normally on a failed session (the error already
+  /// surfaced through the per-frame futures).
   void drain();
 
-  /// True once a frame's stage threw and latched this (service-mode)
-  /// encoder failed: queued frames were resolved with kSessionFailed and
-  /// later submits fail fast. Always false in standalone mode.
+  /// True once a frame's stage threw and latched this encoder failed:
+  /// queued frames were resolved with kSessionFailed, and later submits and
+  /// encode_frame calls fail fast.
   [[nodiscard]] bool failed() const;
 
   /// Installs the service's shared health counters; the pipeline bumps
@@ -317,8 +322,7 @@ class Encoder {
   friend class EncoderPipeline;
 
   /// Delegation target of both public constructors; `shared_pool` null
-  /// means standalone (the pipeline builds its own pool per
-  /// config.parallel).
+  /// means standalone (the encoder builds own_pool_ per config.parallel).
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator, util::ThreadPool* shared_pool);
 
@@ -403,6 +407,8 @@ class Encoder {
   };
 
   void write_sequence_header();
+  /// Throws std::logic_error for a standalone encoder (submit_frame guard).
+  void require_shared_pool() const;
 
   IntraPlan plan_intra_mb(const video::Frame& src, int bx, int by) const;
   InterPlan plan_inter_mb(const video::Frame& src, int bx, int by,
@@ -486,6 +492,9 @@ class Encoder {
   StageMetrics stage_metrics_;
   std::uint64_t trace_session_ = 0;
   std::unique_ptr<me::MotionEstimator> degraded_estimator_;
+  /// The standalone encoder's pool; null on a service's shared pool.
+  /// Declared before pipeline_ so the pipeline's lane drains first.
+  std::unique_ptr<util::ThreadPool> own_pool_;
   std::unique_ptr<EncoderPipeline> pipeline_;  ///< constructed with *this
 };
 

@@ -4,17 +4,19 @@
 // Encoder::encode_frame used to be one ~90-line macroblock loop doing
 // motion estimation, mode decision, entropy coding and reconstruction per
 // block before moving to the next. This class separates those concerns into
-// explicit stages run over the whole frame:
+// explicit stages run over the whole frame, every one of them as tasks on
+// the session's lane of a util::ThreadPool:
 //
-//   1. motion stage       — one EstimateResult per macroblock. Serial when
-//                           ParallelConfig::threads == 1; otherwise
-//                           row-parallel on a util::ThreadPool in WAVEFRONT
-//                           order: block (bx, by) waits until row by−1 has
-//                           finished block bx+1, so the spatial predictors
-//                           PBM and the median predictor read (left, above,
+//   1. motion stage       — one EstimateResult per macroblock, one task per
+//                           macroblock row in WAVEFRONT order: block
+//                           (bx, by) waits until row by−1 has finished
+//                           block bx+1, so the spatial predictors PBM and
+//                           the median predictor read (left, above,
 //                           above-right in BlockContext::cur_field) are
-//                           final before the read. Each worker thread owns
-//                           a clone() of the caller's estimator; worker
+//                           final before the read. Each row publishes its
+//                           progress on its own util::ReadyCounter. Pool
+//                           worker 0 runs the caller's estimator itself;
+//                           every other worker owns a clone() whose
 //                           statistics are merged back into the primary via
 //                           merge_stats() after every frame.
 //   2. mode stage         — the TMN heuristic INTRA/INTER decision per
@@ -41,11 +43,19 @@
 //                           rows split into N independently-predicted ACV2
 //                           slices coded in parallel (see entropy_stage).
 //
-// FRAME-LEVEL PIPELINING (the service mode, built on the staging above):
-// stages 1–2.5 read only the *previous* frame's reconstruction, stage 3
-// writes the *current* one — so with the reference double-buffered
-// (Encoder::recon_buf_), frame t+1's front half (motion/mode/plan) can run
-// while frame t's back half (entropy + reconstruction) is still coding:
+// ONE EXECUTION ENGINE. A standalone Encoder owns its pool; an Encoder of
+// an EncodeSession runs on one lane of the service's shared pool. Both take
+// the same path: a frame is a front task (stages 1–2.5) and a back task
+// (stage 3) on the lane, and encode_frame waits for them. A standalone
+// encoder with ParallelConfig::threads == 1 owns a pool with 0 workers, so
+// that wait runs every task on the caller's thread, in lane order — the
+// serial encode is the same code as the parallel one.
+//
+// FRAME-LEVEL PIPELINING (built on the staging above): stages 1–2.5 read
+// only the *previous* frame's reconstruction, stage 3 writes the *current*
+// one — so with the reference double-buffered (Encoder::recon_buf_), frame
+// t+1's front half (motion/mode/plan) can run while frame t's back half
+// (entropy + reconstruction) is still coding:
 //
 //      frame t   : [ME t   | mode | plan] [entropy+recon t  ]
 //      frame t+1 :                  [ME t+1 | mode | plan] [entropy t+1]
@@ -57,10 +67,12 @@
 // clamped search window can touch — ±search_range plus the half-pel
 // interpolation sample — are published (rows_needed()). Everything an ME /
 // plan read can observe is final before the read, so pipelined streams are
-// byte-identical to the sequential path. In-loop deblocking is frame-global
-// and rewrites rows after entropy, so with deblock enabled the pipeline
-// degrades to whole-frame publication (still overlapped with the next
-// frame's submission, just not row-granular).
+// byte-identical to one-frame-at-a-time encodes. In-loop deblocking is
+// frame-global and rewrites rows after entropy, so with deblock enabled the
+// pipeline degrades to whole-frame publication (still overlapped with the
+// next frame's submission, just not row-granular). Overlap needs frames
+// submitted ahead (submit_frame, service sessions); encode_frame submits one
+// frame and waits for it, so its fronts never find the reference unfinished.
 //
 // Admission rules (pump_locked) keep at most one front and one back in
 // flight per session: front(f) needs front(f−1) done (fronts serialise: the
@@ -81,11 +93,12 @@
 //     encoder would reference frame f−2 where a decoder of the emitted
 //     stream references f−1 — silent drift.) The bitstream simply continues
 //     without the shed frame.
-//   * Failure latching. If a front or back stage throws, the session
-//     latches failed: the throwing frame's future resolves with the
-//     classified error (kResource for bad_alloc, else kEncodeFailed), every
-//     not-yet-running frame resolves with kSessionFailed, later submits
-//     fail fast, and drain() returns instead of hanging. A back that was
+//   * Failure latching. If a front or back stage throws, the session — a
+//     standalone encoder included — latches failed: the throwing frame's
+//     future resolves with the classified error (kResource for bad_alloc,
+//     else kEncodeFailed; encode_frame rethrows it), every not-yet-running
+//     frame resolves with kSessionFailed, later submits and encode_frame
+//     calls fail fast, and drain() returns instead of hanging. A back that was
 //     already running when a newer frame's front failed completes and
 //     resolves with its packet (its bytes precede the failure point). Other
 //     sessions on the shared pool are untouched — all failure state is
@@ -99,7 +112,7 @@
 //     always preceded by the task that publishes" true even on error paths.
 //
 // Determinism: every stage consumes only inputs that are fixed before the
-// stage starts or ordered by a wavefront/readiness dependency, so serial,
+// stage starts or ordered by a wavefront/readiness dependency, so inline,
 // N-thread and frame-pipelined encodes of the same sequence produce
 // byte-identical ACV1/ACV2 bitstreams. tests/codec_parallel_test.cpp and
 // tests/codec_service_test.cpp hold that invariant.
@@ -141,39 +154,33 @@ namespace acbm::codec {
 /// equivalence class.
 class EncoderPipeline {
  public:
-  /// @brief Standalone mode: binds the pipeline to its encoder and sizes a
-  /// private worker pool.
+  /// @brief Binds the pipeline to its encoder and to one new FIFO lane of
+  /// `pool` (the encoder's own pool, or a service's shared one).
   /// @param encoder must outlive the pipeline (the Encoder owns it)
-  /// @param parallel thread-count/determinism knobs; threads == 1 builds
-  ///        no pool and runs every stage serially
-  EncoderPipeline(Encoder& encoder, const ParallelConfig& parallel);
-
-  /// @brief Service mode: runs on one FIFO lane of `shared_pool` (which
-  /// fair-schedules across sessions) with frame-level pipelining enabled.
-  /// The pool must outlive the pipeline.
-  EncoderPipeline(Encoder& encoder, util::ThreadPool& shared_pool);
+  /// @param pool must outlive the pipeline; its size() sets the number of
+  ///        estimator slots (at least 1)
+  EncoderPipeline(Encoder& encoder, util::ThreadPool& pool);
 
   ~EncoderPipeline();
 
   EncoderPipeline(const EncoderPipeline&) = delete;
   EncoderPipeline& operator=(const EncoderPipeline&) = delete;
 
-  /// @brief Runs the stages for one frame, synchronously. In service mode
-  /// this routes through the async path and blocks on the result.
+  /// @brief Submits one frame and waits for it: on a pool without workers
+  /// the wait runs the frame's tasks on the calling thread. Rethrows the
+  /// frame's SessionError if it failed (the pipeline then stays latched).
   /// @param src the source frame (dimensions matching the encoder's
-  ///        configured picture size)
+  ///        configured picture size); borrowed until the call returns
   /// @return the frame's bit count, PSNR and per-mode macroblock tallies
   FrameReport encode_frame(const video::Frame& src);
 
-  /// @brief Service mode: enqueues a frame for pipelined encoding. Frames
-  /// complete in submission order; throws std::logic_error in standalone
-  /// mode.
-  std::future<EncodedFrame> submit_frame(video::Frame src);
-
-  /// @brief Service mode with admission controls: deadline, bounded queue
-  /// (shed with kOverloaded beyond it) and opt-in degradation. Never throws
-  /// for admission outcomes — rejections come back as already-resolved
-  /// error futures.
+  /// @brief Enqueues a frame for pipelined encoding, with admission
+  /// controls: deadline, bounded queue (shed with kOverloaded beyond it)
+  /// and opt-in degradation. Frames complete in submission order. Never
+  /// throws for admission outcomes — rejections come back as
+  /// already-resolved error futures. Needs a pool with workers (an inline
+  /// pool runs tasks only inside a wait, which nothing issues for a
+  /// submitted frame); Encoder routes only service encoders here.
   std::future<EncodedFrame> submit_frame(video::Frame src,
                                          const SubmitOptions& options);
 
@@ -184,21 +191,15 @@ class EncoderPipeline {
   std::optional<std::future<EncodedFrame>> try_submit_frame(
       video::Frame src, const SubmitOptions& options);
 
-  /// @brief Blocks until every submitted frame has resolved (no-op in
-  /// standalone mode). Returns normally on a failed session — the failure
-  /// already surfaced through the per-frame futures.
+  /// @brief Blocks until every submitted frame has resolved. Returns
+  /// normally on a failed session — the failure already surfaced through
+  /// the per-frame futures.
   void drain();
 
   /// @return true once a frame's stage has thrown and latched the session.
   [[nodiscard]] bool failed() const {
     return failed_.load(std::memory_order_acquire);
   }
-
-  /// @return number of ME workers (1 in serial mode).
-  [[nodiscard]] int worker_count() const { return worker_count_; }
-
-  /// @return true in service mode (frame-level pipelining active).
-  [[nodiscard]] bool pipelined() const { return queue_ != nullptr; }
 
  private:
   /// One submitted frame: its source copy, its packet under construction,
@@ -210,7 +211,10 @@ class EncoderPipeline {
   struct FrameJob {
     enum class Stage { kPending, kFront, kFrontDone, kBack };
 
-    video::Frame src;
+    /// The source frame: owned_src for submitted frames, the caller's
+    /// frame for encode_frame (which blocks until the job resolves).
+    const video::Frame* src = &owned_src;
+    video::Frame owned_src;
     std::uint64_t submit_seq = 0;  ///< submission number (error identity)
     std::uint64_t index = 0;       ///< encode index, set at front dispatch
     /// Non-zero once admitted: the obs async-span id pairing this frame's
@@ -249,12 +253,12 @@ class EncoderPipeline {
   void run_back(const video::Frame& src, std::uint64_t f, FrameReport& report,
                 std::vector<std::uint8_t>* bytes_out);
 
-  // --- async admission engine (service mode) ---
-  /// Common body of submit_frame/try_submit_frame; nullopt only on an
-  /// overload rejection with `overload_as_error` false.
-  std::optional<std::future<EncodedFrame>> enqueue(video::Frame src,
-                                                   const SubmitOptions& options,
-                                                   bool overload_as_error);
+  // --- admission engine ---
+  /// Common body of encode_frame/submit_frame/try_submit_frame; nullopt
+  /// only on an overload rejection with `overload_as_error` false.
+  std::optional<std::future<EncodedFrame>> enqueue(
+      std::unique_ptr<FrameJob> job, const SubmitOptions& options,
+      bool overload_as_error);
   /// Dispatches whatever the admission rules allow; sheds deadline-expired
   /// frames it meets into `reap`. Requires admit_mutex_ held.
   void pump_locked(Reap& reap);
@@ -270,16 +274,14 @@ class EncoderPipeline {
   /// the next frame wake up (see the header comment).
   void release_back_waiters();
 
-  // --- helpers shared by both modes ---
-  /// Submits a stage task: onto the session lane tagged with `group` in
-  /// service mode, onto the private pool's default lane otherwise.
-  void submit_stage_task(util::TaskGroup& group, std::function<void()> task);
-  /// The matching barrier: group wait (helping) or wait_idle.
-  void wait_stage(util::TaskGroup& group);
+  // --- stages ---
+  /// Splits macroblock rows [0, mbs_y) into one contiguous range per
+  /// estimator slot, runs `rows(begin, end)` for each as a front task and
+  /// waits for them (the mode and plan stages: no cross-row dependencies).
+  template <typename RowsFn>
+  void run_row_ranges(const RowsFn& rows);
 
   void motion_stage(const video::Frame& src, FrameReport& report);
-  void motion_stage_serial(const video::Frame& src);
-  void motion_stage_wavefront(const video::Frame& src);
   [[nodiscard]] me::EstimateResult estimate_block(
       me::MotionEstimator& estimator, const video::Frame& src, int bx,
       int by) const;
@@ -320,30 +322,35 @@ class EncoderPipeline {
                          Encoder::MbBitCounters& counters,
                          FrameReport& report);
 
-  /// Clones the primary estimator once per worker (lazily, so callers may
-  /// still configure the estimator between Encoder construction and the
-  /// first encoded frame); likewise the degraded estimator if one is set.
-  void ensure_workers();
+  /// Gives every pool worker but worker 0 its own clone() of the primary
+  /// estimator (lazily, so callers may still configure the estimator
+  /// between Encoder construction and the first encoded frame); likewise
+  /// the degraded estimator if one is set. Worker 0 runs the primary
+  /// itself, so a 0- or 1-worker pool takes no clone at all.
+  void ensure_clones();
 
   Encoder& enc_;
-  int worker_count_ = 1;
-  std::vector<std::unique_ptr<me::MotionEstimator>> workers_;
-  /// Worker clones of the session's degraded (overload) estimator; frames
-  /// admitted with FrameJob::degraded run their motion stage on these.
-  std::vector<std::unique_ptr<me::MotionEstimator>> degraded_workers_;
-  // Declared after workers_ so destruction joins the pool threads before
-  // the per-worker estimators they may still reference go away.
-  std::unique_ptr<util::ThreadPool> pool_;  ///< owned pool, standalone mode
-  util::ThreadPool* active_pool_ = nullptr;  ///< owned or shared; null=serial
-  /// This session's FIFO lane of the shared pool; non-null IS the service
-  /// mode flag. Destroyed (draining the lane) before pool_ would be.
-  std::unique_ptr<util::ThreadPool::Queue> queue_;
+  util::ThreadPool& pool_;
+  /// Estimator slots = max(1, pool size): worker w runs slot w.
+  int slot_count_ = 1;
+  /// Slots 1.. of the primary estimator (slot 0 is the primary itself).
+  std::vector<std::unique_ptr<me::MotionEstimator>> clones_;
+  /// Slots 1.. of the session's degraded (overload) estimator; frames
+  /// admitted with FrameJob::degraded run their motion stage on it.
+  std::vector<std::unique_ptr<me::MotionEstimator>> degraded_clones_;
+  util::TaskGroup frame_group_;  ///< front and back tasks of every frame
   util::TaskGroup front_group_;  ///< ME/mode/plan row tasks, current front
   util::TaskGroup back_group_;   ///< entropy slice tasks, current back
 
+  /// Wavefront progress, one counter per macroblock row, cumulative over
+  /// every motion stage: row `by` of the k-th motion stage publishes
+  /// k·mbs_x + (finished blocks), so the counters never need a reset.
+  std::unique_ptr<util::ReadyCounter[]> row_ready_;
+  std::uint64_t wave_base_ = 0;  ///< k·mbs_x for the next motion stage
+
   // Per-frame stage outputs, indexed by by * mbs_x + bx; two parities so a
   // back half can read frame f's plans while the next front fills frame
-  // f+1's (standalone mode always uses parity 0). Sized once and reused
+  // f+1's. Sized once and reused
   // across frames (geometry is fixed per encoder): plans_ in particular
   // holds every InterPlan/IntraPlan prediction buffer inline, so re-sizing
   // it per frame would be megabytes of allocator traffic at HD.
@@ -356,7 +363,7 @@ class EncoderPipeline {
   // --- front-half state, owned by the (single) in-flight front task ---
   int front_parity_ = 0;              ///< stage-buffer parity of this front
   std::uint64_t front_frame_ = 0;     ///< frame index (BlockContext::frame)
-  bool front_degraded_ = false;       ///< this front uses degraded_workers_
+  bool front_degraded_ = false;       ///< this front uses the degraded slots
   util::ReadyCounter* front_gate_ = nullptr;  ///< null = reference complete
   std::uint64_t front_wait_base_ = 0; ///< gate value where this ref starts
 
@@ -383,13 +390,17 @@ class EncoderPipeline {
   /// kPending) form a prefix of at most two; the front job is always the
   /// lowest-index in-flight encode (backs retire strictly in order).
   std::deque<std::unique_ptr<FrameJob>> jobs_;
-  std::uint64_t next_seq_ = 0;    ///< submission numbers (service mode)
+  std::uint64_t next_seq_ = 0;    ///< submission numbers
   std::uint64_t next_index_ = 0;  ///< encode indices; assigned at dispatch
   bool front_running_ = false;
   bool back_running_ = false;
   /// Latched by fail_locked; read lock-free by failed() and the fast paths.
   std::atomic<bool> failed_{false};
   std::string failure_message_;  ///< what() of the latching error
+
+  /// This session's FIFO lane. Declared last so it is destroyed first: its
+  /// destructor drains the lane while everything its tasks touch is alive.
+  util::ThreadPool::Queue queue_;
 };
 
 }  // namespace acbm::codec

@@ -3,7 +3,6 @@
 // scatter summaries) and the complexity accounting (Table 1 averages).
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace acbm::util {
@@ -55,27 +54,6 @@ class SampleSet {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so totals always match the sample count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bin_low(std::size_t i) const;
-  [[nodiscard]] double bin_high(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace acbm::util

@@ -10,9 +10,10 @@
 // the spec alone which frame of which session will fail, and assert the
 // error's frame_index matches — across a sweep of 24 seeds.
 //
-// Also here: deadline shedding, queue-limit shedding, the degradation
-// ladder, ServiceStats conservation, destruction with frames in flight,
-// and the kv spec grammars for "fault:..." and "overload:...".
+// Also here: faults in a standalone Encoder (same latching contract),
+// deadline shedding, queue-limit shedding, the degradation ladder,
+// ServiceStats conservation, destruction with frames in flight, and the kv
+// spec grammars for "fault:..." and "overload:...".
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,9 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "codec/service.hpp"
 #include "codec/session_error.hpp"
 #include "core/builtin_estimators.hpp"
+#include "me/estimator.hpp"
 #include "synth/sequences.hpp"
 #include "util/fault_injector.hpp"
 #include "util/kv.hpp"
@@ -328,6 +332,86 @@ TEST(FaultSoak, LatchedSessionFailsFastOnSubmit) {
     FAIL() << "submit on a latched session resolved with a value";
   } catch (const SessionError& e) {
     EXPECT_EQ(e.error_class(), SessionErrorClass::kSessionFailed);
+  }
+}
+
+// ----------------------------------------------------------- standalone ---
+// A standalone Encoder is one session on a pool it owns (0 workers for
+// threads=1), so a stage fault there surfaces exactly as in a service
+// session: encode_frame rethrows the classified SessionError on the
+// caller's thread, and the encoder latches.
+
+/// Throws from inside the wavefront — block (1, 1) of frame `throw_frame` —
+/// so the failure starts in a row task, not in the front's prologue.
+class ThrowingEstimator final : public me::MotionEstimator {
+ public:
+  explicit ThrowingEstimator(int throw_frame) : throw_frame_(throw_frame) {}
+  me::EstimateResult estimate(const me::BlockContext& ctx) override {
+    if (ctx.frame == throw_frame_ && ctx.bx == 1 && ctx.by == 1) {
+      throw std::runtime_error("estimator boom");
+    }
+    return inner_->estimate(ctx);
+  }
+  [[nodiscard]] std::string_view name() const override { return "throwing"; }
+  [[nodiscard]] std::unique_ptr<me::MotionEstimator> clone() const override {
+    return std::make_unique<ThrowingEstimator>(throw_frame_);
+  }
+
+ private:
+  int throw_frame_;
+  std::unique_ptr<me::MotionEstimator> inner_ =
+      core::builtin_estimators().create("PBM");
+};
+
+/// Expects `encode_frame(frame)` to throw a SessionError of class `cls`.
+void expect_encode_error(Encoder& encoder, const video::Frame& frame,
+                         SessionErrorClass cls) {
+  try {
+    (void)encoder.encode_frame(frame);
+    ADD_FAILURE() << "encode_frame returned on a faulty frame";
+  } catch (const SessionError& e) {
+    EXPECT_EQ(e.error_class(), cls) << e.what();
+  }
+}
+
+TEST(Standalone, InjectedFaultThrowsAndLatches) {
+  const auto frames = test_sequence("foreman", 2);
+  const util::FaultInjector injector("fault:site=encode_throw,p=1,seed=1");
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EncoderConfig config;
+    config.qp = 16;
+    config.parallel.threads = threads;
+    const auto estimator = core::builtin_estimators().create("ACBM");
+    Encoder encoder({frames[0].width(), frames[0].height()}, config,
+                    *estimator);
+    encoder.set_fault_injector(&injector, 0);
+    EXPECT_FALSE(encoder.failed());
+    expect_encode_error(encoder, frames[0], SessionErrorClass::kEncodeFailed);
+    EXPECT_TRUE(encoder.failed());
+    expect_encode_error(encoder, frames[1], SessionErrorClass::kSessionFailed);
+  }
+}
+
+TEST(Standalone, WavefrontRowFaultThrowsWithoutHanging) {
+  // The throwing row publishes itself complete, so the rows parked on it
+  // resume and the stage barrier rethrows — inline and on 4 workers. The
+  // frames before the fault encode normally.
+  const auto frames = test_sequence("carphone", 4);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EncoderConfig config;
+    config.qp = 16;
+    config.parallel.threads = threads;
+    ThrowingEstimator estimator(/*throw_frame=*/2);
+    Encoder encoder({frames[0].width(), frames[0].height()}, config,
+                    estimator);
+    (void)encoder.encode_frame(frames[0]);
+    (void)encoder.encode_frame(frames[1]);
+    EXPECT_FALSE(encoder.failed());
+    expect_encode_error(encoder, frames[2], SessionErrorClass::kEncodeFailed);
+    EXPECT_TRUE(encoder.failed());
+    expect_encode_error(encoder, frames[3], SessionErrorClass::kSessionFailed);
   }
 }
 

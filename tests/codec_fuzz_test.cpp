@@ -182,7 +182,7 @@ TEST(DecoderFuzz, SlicedParallelDecodeSurvivesCorruption) {
         static_cast<std::uint32_t>(corrupted.size()));
     corrupted[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
     try {
-      Decoder decoder(corrupted, /*threads=*/3);
+      Decoder decoder(corrupted, DecoderConfig{.threads = 3});
       (void)decoder.decode_all();
     } catch (const DecodeError&) {
       // structural corruption — acceptable

@@ -217,19 +217,6 @@ TEST(ParallelEncode, AutoThreadCountIdentical) {
   EXPECT_EQ(encode_with(frames, "ACBM", parallel).stream, serial.stream);
 }
 
-TEST(ParallelEncode, NonDeterministicFlagStillBitExactToday) {
-  // ParallelConfig::deterministic = false is an API reservation; the
-  // wavefront scheduler currently stays bit-exact either way.
-  const auto frames = test_sequence("foreman", 4);
-  EncoderConfig config;
-  config.qp = 16;
-  const EncodeOutcome serial = encode_with(frames, "ACBM", config);
-  EncoderConfig parallel = config;
-  parallel.parallel.threads = 4;
-  parallel.parallel.deterministic = false;
-  EXPECT_EQ(encode_with(frames, "ACBM", parallel).stream, serial.stream);
-}
-
 TEST(ParallelEncode, ParallelStreamDecodes) {
   const auto frames = test_sequence("foreman", 6);
   EncoderConfig config;

@@ -224,10 +224,19 @@ TEST(ServiceEncode, SynchronousEncodeFrameWorksOnServiceEncoder) {
   }
   EXPECT_EQ(session.finish(), reference);
 
-  const auto estimator = core::builtin_estimators().create("ACBM");
-  Encoder standalone({frames[0].width(), frames[0].height()}, config,
-                     *estimator);
-  EXPECT_THROW(standalone.submit_frame(frames[0]), std::logic_error);
+  // A standalone encoder owns its pool — with no workers at threads=1,
+  // where nothing would ever run a frame no encode_frame waits for.
+  for (int threads : {1, 4}) {
+    EncoderConfig standalone_config = config;
+    standalone_config.parallel.threads = threads;
+    const auto estimator = core::builtin_estimators().create("ACBM");
+    Encoder standalone({frames[0].width(), frames[0].height()},
+                       standalone_config, *estimator);
+    EXPECT_THROW(standalone.submit_frame(frames[0]), std::logic_error);
+    EXPECT_THROW(
+        (void)standalone.try_submit_frame(frames[0], SubmitOptions{}),
+        std::logic_error);
+  }
 }
 
 TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
@@ -244,7 +253,7 @@ TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
                         config, core::builtin_estimators().create("ACBM"));
   const SessionOutcome outcome = drive_session(session, frames);
 
-  Decoder own_pool(outcome.stream, /*threads=*/4);
+  Decoder own_pool(outcome.stream, DecoderConfig{.threads = 4});
   const std::vector<video::Frame> expected = own_pool.decode_all();
   ASSERT_EQ(expected.size(), frames.size());
 
@@ -252,7 +261,7 @@ TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
   std::vector<std::thread> drivers;
   for (std::size_t d = 0; d < decoded.size(); ++d) {
     drivers.emplace_back([&, d] {
-      Decoder decoder(outcome.stream, service.pool());
+      Decoder decoder(outcome.stream, DecoderConfig{}, service.pool());
       decoded[d] = decoder.decode_all();
     });
   }

@@ -173,8 +173,8 @@ TEST(SliceRoundTrip, ParallelDecodeIdenticalToSerial) {
   config.slices = 3;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder serial(outcome.stream, /*threads=*/1);
-  Decoder parallel(outcome.stream, /*threads=*/4);
+  Decoder serial(outcome.stream, DecoderConfig{.threads = 1});
+  Decoder parallel(outcome.stream, DecoderConfig{.threads = 4});
   const auto serial_frames = serial.decode_all();
   const auto parallel_frames = parallel.decode_all();
   ASSERT_EQ(serial_frames.size(), parallel_frames.size());
@@ -219,7 +219,7 @@ TEST(SliceRoundTrip, IntraPeriodStreamsRoundTrip) {
   config.intra_period = 2;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder decoder(outcome.stream, /*threads=*/2);
+  Decoder decoder(outcome.stream, DecoderConfig{.threads = 2});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), frames.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -256,7 +256,7 @@ TEST(SliceEncode, DeblockingComposesWithSlices) {
   config.parallel.threads = 2;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder decoder(outcome.stream, /*threads=*/3);
+  Decoder decoder(outcome.stream, DecoderConfig{.threads = 3});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), frames.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {

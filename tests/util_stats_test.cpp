@@ -1,4 +1,4 @@
-// RunningStats / SampleSet / Histogram.
+// RunningStats / SampleSet.
 
 #include "util/stats.hpp"
 
@@ -98,40 +98,6 @@ TEST(SampleSet, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.median(), 0.0);
   EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(5.0);    // bin 5
-  h.add(-3.0);   // clamps to bin 0
-  h.add(42.0);   // clamps to bin 9
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.bin(9), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 25.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(3), 75.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(3), 100.0);
-}
-
-TEST(Histogram, TotalsMatchSampleCountUnderStress) {
-  Histogram h(-1.0, 1.0, 7);
-  for (int i = 0; i < 1000; ++i) {
-    h.add(std::sin(i * 0.37) * 2.0);  // many out-of-range values
-  }
-  std::uint64_t sum = 0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) {
-    sum += h.bin(b);
-  }
-  EXPECT_EQ(sum, 1000u);
-  EXPECT_EQ(h.total(), 1000u);
 }
 
 }  // namespace

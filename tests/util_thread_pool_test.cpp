@@ -1,6 +1,7 @@
-// util::ThreadPool: task completion, the wait_idle() barrier, stable worker
-// indices, FIFO dispatch, and thread-count resolution — the properties the
-// parallel encoding pipeline is built on.
+// util::ThreadPool: task completion, the wait(group) barrier, stable worker
+// indices, FIFO dispatch, inline (0-worker) execution and thread-count
+// resolution — the properties the encoding pipeline is built on — plus the
+// ReadyCounter progress primitive its waits park on.
 
 #include "util/thread_pool.hpp"
 
@@ -24,51 +25,64 @@ namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::atomic<int> count{0};
   for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    pool.submit(
+        lane, [&count] { count.fetch_add(1, std::memory_order_relaxed); },
+        group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPool, SizeClampsToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1);
-  ThreadPool pool2(3);
-  EXPECT_EQ(pool2.size(), 3);
+TEST(ThreadPool, ZeroWorkersMeansInline) {
+  ThreadPool inline_pool(0);
+  EXPECT_EQ(inline_pool.size(), 0);
+  ThreadPool negative(-3);
+  EXPECT_EQ(negative.size(), 0);
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3);
 }
 
-TEST(ThreadPool, WaitIdleWithoutTasksReturns) {
+TEST(ThreadPool, WaitOnEmptyGroupReturns) {
   ThreadPool pool(2);
-  pool.wait_idle();  // must not block
+  TaskGroup group;
+  pool.wait(group);  // must not block
+  ThreadPool inline_pool(0);
+  inline_pool.wait(group);
   SUCCEED();
 }
 
-TEST(ThreadPool, WaitIdleIsReusableAcrossBatches) {
+TEST(ThreadPool, GroupWaitIsReusableAcrossBatches) {
   ThreadPool pool(2);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::atomic<int> count{0};
   for (int batch = 0; batch < 3; ++batch) {
     for (int i = 0; i < 20; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
+      pool.submit(lane, [&count] { count.fetch_add(1); }, group);
     }
-    pool.wait_idle();
+    pool.wait(group);
     EXPECT_EQ(count.load(), (batch + 1) * 20);
   }
 }
 
 TEST(ThreadPool, WorkerIndicesAreStableAndInRange) {
   ThreadPool pool(3);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::mutex m;
   std::set<int> seen;
   for (int i = 0; i < 60; ++i) {
-    pool.submit([&] {
+    pool.submit(lane, [&] {
       const int index = ThreadPool::worker_index();
       const std::lock_guard<std::mutex> lock(m);
       seen.insert(index);
-    });
+    }, group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   for (int index : seen) {
     EXPECT_GE(index, 0);
     EXPECT_LT(index, pool.size());
@@ -83,11 +97,13 @@ TEST(ThreadPool, SingleThreadExecutesInSubmissionOrder) {
   // FIFO dispatch is part of the contract (the wavefront scheduler depends
   // on it); with one worker, dispatch order IS completion order.
   ThreadPool pool(1);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::vector<int> order;
   for (int i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
+    pool.submit(lane, [&order, i] { order.push_back(i); }, group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -98,12 +114,177 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   std::atomic<int> count{0};
   {
     ThreadPool pool(2);
+    TaskGroup group;
+    ThreadPool::Queue lane(pool);
     for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
+      pool.submit(lane, [&count] { count.fetch_add(1); }, group);
     }
-    // No wait_idle: the destructor must still run everything.
+    // No wait: tearing down the lane and then the pool must still run
+    // everything.
   }
   EXPECT_EQ(count.load(), 100);
+}
+
+// ----------------------------------------------------- inline (0-worker) ---
+// A pool without workers is how a one-thread encoder runs the same task
+// graph as a parallel one: nothing runs until someone waits for the group,
+// and then the waiter runs it, in lane order, standing in as worker 0.
+
+TEST(InlinePool, GroupRunsOnTheWaiterInLaneOrder) {
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  TaskGroup other;
+  std::vector<int> order;
+  std::set<std::thread::id> threads;
+  for (int i = 0; i < 8; ++i) {
+    pool.submit(lane, [&order, &threads, i] {
+      order.push_back(i);
+      threads.insert(std::this_thread::get_id());
+    }, group);
+  }
+  bool other_ran = false;
+  pool.submit(lane, [&other_ran] { other_ran = true; }, other);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(order.empty()) << "an inline pool ran a task before any wait";
+  pool.wait(group);
+  ASSERT_EQ(order.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+  EXPECT_FALSE(other_ran) << "wait(group) helped a task of another group";
+  pool.wait(other);
+  EXPECT_TRUE(other_ran);
+}
+
+TEST(InlinePool, NestedSubmitAndWaitRunInline) {
+  // The encoder's front task submits its stage tasks and waits for them
+  // from inside the frame-level wait; on an inline pool both levels help.
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup outer;
+  std::vector<int> order;
+  pool.submit(lane, [&] {
+    TaskGroup inner;
+    for (int i = 1; i <= 3; ++i) {
+      pool.submit(lane, [&order, i] { order.push_back(i); }, inner);
+    }
+    pool.wait(inner);
+    order.push_back(4);
+  }, outer);
+  pool.wait(outer);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(InlinePool, WorkerIndexIsZeroInsideAndRestoredAfter) {
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  int inside = -2;
+  pool.submit(lane, [&inside] { inside = ThreadPool::worker_index(); },
+              group);
+  pool.wait(group);
+  EXPECT_EQ(inside, 0);
+  EXPECT_EQ(ThreadPool::worker_index(), -1);
+}
+
+TEST(InlinePool, WorkerOfAnotherPoolKeepsItsIdentity) {
+  // A worker of pool A that runs an inline pool B's tasks is worker 0 of B
+  // only while it does; afterwards it is A's worker again — its index is
+  // unchanged, and its waits on A still help (on a one-worker pool A a
+  // parked wait would hang).
+  constexpr int kOuterWorkers = 3;
+  ThreadPool outer(kOuterWorkers);
+  ThreadPool::Queue outer_lane(outer);
+  TaskGroup outer_group;
+  std::atomic<int> arrived{0};
+  std::atomic<int> index_mismatches{0};
+  std::atomic<int> inline_index_wrong{0};
+  for (int t = 0; t < kOuterWorkers; ++t) {
+    outer.submit(outer_lane, [&] {
+      // Rendezvous so every outer worker runs one task: workers 1 and 2
+      // have an index the inline pool's 0 would visibly overwrite.
+      arrived.fetch_add(1);
+      while (arrived.load() < kOuterWorkers) {
+        std::this_thread::yield();
+      }
+      const int before = ThreadPool::worker_index();
+      ThreadPool inline_pool(0);
+      ThreadPool::Queue lane(inline_pool);
+      TaskGroup group;
+      for (int i = 0; i < 3; ++i) {
+        inline_pool.submit(lane, [&inline_index_wrong] {
+          if (ThreadPool::worker_index() != 0) {
+            inline_index_wrong.fetch_add(1);
+          }
+        }, group);
+      }
+      inline_pool.wait(group);
+      if (ThreadPool::worker_index() != before) {
+        index_mismatches.fetch_add(1);
+      }
+    }, outer_group);
+  }
+  outer.wait(outer_group);
+  EXPECT_EQ(inline_index_wrong.load(), 0);
+  EXPECT_EQ(index_mismatches.load(), 0);
+
+  ThreadPool single(1);
+  ThreadPool::Queue single_lane(single);
+  TaskGroup parent;
+  std::atomic<int> subtasks_done{0};
+  single.submit(single_lane, [&] {
+    ThreadPool inline_pool(0);
+    ThreadPool::Queue lane(inline_pool);
+    TaskGroup group;
+    inline_pool.submit(lane, [] {}, group);
+    inline_pool.wait(group);
+    TaskGroup children;
+    for (int i = 0; i < 4; ++i) {
+      single.submit(single_lane, [&] { subtasks_done.fetch_add(1); },
+                    children);
+    }
+    single.wait(children);  // must help: this is the pool's only worker
+  }, parent);
+  single.wait(parent);
+  EXPECT_EQ(subtasks_done.load(), 4);
+}
+
+TEST(InlinePool, FirstErrorIsRethrownAndTheBatchCompletes) {
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  int survivors = 0;
+  pool.submit(lane, [] { throw std::runtime_error("inline boom0"); }, group);
+  pool.submit(lane, [&survivors] { ++survivors; }, group);
+  pool.submit(lane, [] { throw std::runtime_error("inline boom1"); }, group);
+  pool.submit(lane, [&survivors] { ++survivors; }, group);
+  try {
+    pool.wait(group);
+    FAIL() << "wait(group) swallowed the task error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inline boom0") << "first captured error must win";
+  }
+  EXPECT_EQ(survivors, 2);
+  EXPECT_EQ(ThreadPool::worker_index(), -1) << "identity not restored";
+  pool.wait(group);  // consumed: must not rethrow again
+}
+
+TEST(InlinePool, QueueDestructorRunsLeftovers) {
+  ThreadPool pool(0);
+  TaskGroup group;
+  int count = 0;
+  {
+    ThreadPool::Queue lane(pool);
+    for (int i = 0; i < 5; ++i) {
+      pool.submit(lane, [&count] { ++count; }, group);
+    }
+    EXPECT_EQ(count, 0);
+    // No wait: nothing else will ever run this lane, so ~Queue must.
+  }
+  EXPECT_EQ(count, 5);
 }
 
 TEST(ThreadPool, ResolveThreadCount) {
@@ -119,19 +300,20 @@ TEST(ThreadPool, QueueLanesPreserveFifoWithinALane) {
   ThreadPool pool(1);
   ThreadPool::Queue a(pool);
   ThreadPool::Queue b(pool);
+  TaskGroup group;
   std::mutex m;
   std::vector<std::pair<int, int>> order;  // (lane, seq)
   for (int i = 0; i < 20; ++i) {
     pool.submit(a, [&, i] {
       const std::lock_guard<std::mutex> lock(m);
       order.emplace_back(0, i);
-    });
+    }, group);
     pool.submit(b, [&, i] {
       const std::lock_guard<std::mutex> lock(m);
       order.emplace_back(1, i);
-    });
+    }, group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   int next[2] = {0, 0};
   for (const auto& [lane, seq] : order) {
     EXPECT_EQ(seq, next[lane]) << "lane " << lane;
@@ -150,6 +332,7 @@ TEST(ThreadPool, RoundRobinSharesWorkersAcrossSaturatingLanes) {
   ThreadPool pool(1);
   ThreadPool::Queue greedy(pool);
   ThreadPool::Queue modest(pool);
+  TaskGroup group;
   std::mutex m;
   std::vector<int> order;
   // Stall the worker so both lanes build a backlog before dispatch starts.
@@ -158,21 +341,21 @@ TEST(ThreadPool, RoundRobinSharesWorkersAcrossSaturatingLanes) {
     while (!go.load()) {
       std::this_thread::yield();
     }
-  });
+  }, group);
   for (int i = 0; i < 50; ++i) {
     pool.submit(greedy, [&] {
       const std::lock_guard<std::mutex> lock(m);
       order.push_back(0);
-    });
+    }, group);
   }
   for (int i = 0; i < 10; ++i) {
     pool.submit(modest, [&] {
       const std::lock_guard<std::mutex> lock(m);
       order.push_back(1);
-    });
+    }, group);
   }
   go.store(true);
-  pool.wait_idle();
+  pool.wait(group);
   ASSERT_EQ(order.size(), 60u);
   // The modest lane's 10 tasks must all complete within the first ~20
   // dispatches (alternation), not after the greedy lane's 50.
@@ -188,28 +371,29 @@ TEST(ThreadPool, TaskGroupWaitCoversOnlyItsOwnTasks) {
   ThreadPool pool(2);
   ThreadPool::Queue lane(pool);
   TaskGroup mine;
+  TaskGroup theirs;
   std::atomic<bool> blocker_running{false};
   std::atomic<bool> release_blocker{false};
   std::atomic<int> mine_done{0};
-  // An unrelated long-running task (no group): wait(mine) must not wait for
-  // it.
+  // An unrelated long-running task of another group: wait(mine) must not
+  // wait for it.
   pool.submit(lane, [&] {
     blocker_running.store(true);
     while (!release_blocker.load()) {
       std::this_thread::yield();
     }
-  });
+  }, theirs);
   while (!blocker_running.load()) {
     std::this_thread::yield();
   }
   for (int i = 0; i < 8; ++i) {
-    pool.submit(lane, [&] { mine_done.fetch_add(1); }, &mine);
+    pool.submit(lane, [&] { mine_done.fetch_add(1); }, mine);
   }
   pool.wait(mine);
   EXPECT_EQ(mine_done.load(), 8);
   EXPECT_FALSE(release_blocker.load());  // returned while the blocker runs
   release_blocker.store(true);
-  pool.wait_idle();
+  pool.wait(theirs);
 }
 
 TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
@@ -218,17 +402,18 @@ TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
   // this deadlock-or-help: parking would hang forever.
   ThreadPool pool(1);
   ThreadPool::Queue lane(pool);
+  TaskGroup parent;
   std::atomic<int> subtasks_done{0};
   std::atomic<bool> parent_done{false};
   pool.submit(lane, [&] {
     TaskGroup group;
     for (int i = 0; i < 4; ++i) {
-      pool.submit(lane, [&] { subtasks_done.fetch_add(1); }, &group);
+      pool.submit(lane, [&] { subtasks_done.fetch_add(1); }, group);
     }
     pool.wait(group);
     parent_done.store(true);
-  });
-  pool.wait_idle();
+  }, parent);
+  pool.wait(parent);
   EXPECT_EQ(subtasks_done.load(), 4);
   EXPECT_TRUE(parent_done.load());
 }
@@ -239,24 +424,26 @@ TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
 // the first captured error from the matching wait. These are the primitives
 // the encoding pipeline's session-isolation guarantees stand on.
 
-TEST(ThreadPool, ThrowingTaskIsCapturedAndWaitIdleRethrows) {
+TEST(ThreadPool, ThrowingTaskIsCapturedAndGroupWaitRethrows) {
   ThreadPool pool(2);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::atomic<int> survivors{0};
-  pool.submit([] { throw std::runtime_error("ungrouped boom"); });
+  pool.submit(lane, [] { throw std::runtime_error("grouped boom"); }, group);
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&survivors] { survivors.fetch_add(1); });
+    pool.submit(lane, [&survivors] { survivors.fetch_add(1); }, group);
   }
   try {
-    pool.wait_idle();
-    FAIL() << "wait_idle swallowed the task error";
+    pool.wait(group);
+    FAIL() << "wait(group) swallowed the task error";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "ungrouped boom");
+    EXPECT_STREQ(e.what(), "grouped boom");
   }
-  // The rest of the batch still ran, the error was consumed, and the pool
+  // The rest of the batch still ran, the error was consumed, and the group
   // is fully reusable.
   EXPECT_EQ(survivors.load(), 8);
-  pool.submit([&survivors] { survivors.fetch_add(1); });
-  pool.wait_idle();  // must not rethrow again
+  pool.submit(lane, [&survivors] { survivors.fetch_add(1); }, group);
+  pool.wait(group);  // must not rethrow again
   EXPECT_EQ(survivors.load(), 9);
 }
 
@@ -268,9 +455,9 @@ TEST(ThreadPool, WaitGroupRethrowsFirstErrorOfItsGroupOnly) {
   TaskGroup bad;
   TaskGroup good;
   std::atomic<int> done{0};
-  pool.submit(lane, [] { throw std::runtime_error("boom0"); }, &bad);
-  pool.submit(lane, [] { throw std::runtime_error("boom1"); }, &bad);
-  pool.submit(lane, [&done] { done.fetch_add(1); }, &good);
+  pool.submit(lane, [] { throw std::runtime_error("boom0"); }, bad);
+  pool.submit(lane, [] { throw std::runtime_error("boom1"); }, bad);
+  pool.submit(lane, [&done] { done.fetch_add(1); }, good);
   try {
     pool.wait(bad);
     FAIL() << "wait(group) swallowed the task error";
@@ -288,23 +475,24 @@ TEST(ThreadPool, ThrowInsideHelpingWaitIsCaptured) {
   // error must surface to the parent task, not escape into the worker loop.
   ThreadPool pool(1);
   ThreadPool::Queue lane(pool);
+  TaskGroup parent;
   std::atomic<bool> parent_saw_error{false};
   std::atomic<int> siblings_done{0};
   pool.submit(lane, [&] {
     TaskGroup group;
     pool.submit(lane, [] { throw std::runtime_error("subtask boom"); },
-                &group);
+                group);
     for (int i = 0; i < 3; ++i) {
       pool.submit(lane, [&siblings_done] { siblings_done.fetch_add(1); },
-                  &group);
+                  group);
     }
     try {
       pool.wait(group);
     } catch (const std::runtime_error& e) {
       parent_saw_error.store(std::string(e.what()) == "subtask boom");
     }
-  });
-  pool.wait_idle();
+  }, parent);
+  pool.wait(parent);
   EXPECT_TRUE(parent_saw_error.load());
   EXPECT_EQ(siblings_done.load(), 3) << "siblings must run despite the throw";
 }
@@ -321,11 +509,11 @@ TEST(ThreadPool, ThrowAfterPublicationDoesNotStrandCounterWaiters) {
   pool.submit(lane, [&] {
     rows.publish(1);  // poison-publish, then fail
     throw std::runtime_error("row boom");
-  }, &group);
+  }, group);
   pool.submit(lane, [&] {
     rows.wait_for(1);  // must be released by the publish above
     downstream_ran.store(true);
-  }, &group);
+  }, group);
   try {
     pool.wait(group);
     FAIL() << "wait(group) swallowed the row error";
@@ -342,6 +530,7 @@ TEST(ThreadPool, DestructionDrainsPoisonedQueuedTasks) {
   std::atomic<int> done{0};
   {
     ThreadPool pool(2);
+    TaskGroup group;
     ThreadPool::Queue lane(pool);
     for (int i = 0; i < 16; ++i) {
       pool.submit(lane, [&done, i] {
@@ -349,20 +538,21 @@ TEST(ThreadPool, DestructionDrainsPoisonedQueuedTasks) {
         if (i % 3 == 0) {
           throw std::runtime_error("queued boom");
         }
-      });
+      }, group);
     }
-    // No wait_idle: destruction races dispatch of the poisoned backlog.
+    // No wait: destruction races dispatch of the poisoned backlog.
   }
   EXPECT_EQ(done.load(), 16);
 }
 
 TEST(ThreadPool, QueueDestructorDrainsItsLane) {
   ThreadPool pool(2);
+  TaskGroup group;
   std::atomic<int> count{0};
   {
     ThreadPool::Queue lane(pool);
     for (int i = 0; i < 40; ++i) {
-      pool.submit(lane, [&count] { count.fetch_add(1); });
+      pool.submit(lane, [&count] { count.fetch_add(1); }, group);
     }
     // No barrier: ~Queue must block until the lane is empty.
   }
@@ -375,6 +565,7 @@ TEST(ThreadPool, QueueDestructionBlocksWhileTasksArePark) {
   // block until those tasks are released and run to completion — returning
   // early would free per-session state out from under live tasks.
   ThreadPool pool(2);
+  TaskGroup group;
   ReadyCounter gate;
   std::atomic<int> finished{0};
   std::atomic<bool> destroyed{false};
@@ -383,7 +574,7 @@ TEST(ThreadPool, QueueDestructionBlocksWhileTasksArePark) {
     pool.submit(*lane, [&] {
       gate.wait_for(1);
       finished.fetch_add(1);
-    });
+    }, group);
   }
   std::thread destroyer([&] {
     lane.reset();
@@ -475,76 +666,43 @@ TEST(ReadyCounter, WaiterNeverWakesBelowItsThreshold) {
   EXPECT_EQ(counter.value(), 16u);
 }
 
-TEST(WavefrontProgress, SatisfiedWaitReturnsImmediately) {
-  WavefrontProgress progress(2);
-  progress.publish(0, 5);
-  progress.wait_for(0, 5);  // must not block
-  progress.wait_for(0, 3);
-  EXPECT_EQ(progress.progress(0), 5);
-  EXPECT_EQ(progress.progress(1), 0);
-}
-
-TEST(WavefrontProgress, ParkedWaiterWakesOnPublish) {
-  WavefrontProgress progress(1);
-  std::atomic<bool> released{false};
-  std::thread waiter([&] {
-    progress.wait_for(0, 10);
-    released.store(true);
-  });
-  // Publish below the threshold first: the waiter must stay parked.
-  progress.publish(0, 9);
-  EXPECT_FALSE(released.load());
-  progress.publish(0, 10);
-  waiter.join();
-  EXPECT_TRUE(released.load());
-}
-
-TEST(WavefrontProgress, WavefrontOrderingHoldsOnPool) {
-  // The encoder's exact usage pattern: row by waits for row by-1 to lead by
-  // two columns. Verify the dependency is never observed violated.
+TEST(ReadyCounter, WavefrontOrderingHoldsOnPool) {
+  // The encoder's exact usage pattern: one counter per row, cumulative over
+  // successive stages (stage k's row publishes k·cols + finished blocks),
+  // and row by waits for row by-1 to lead by two columns. Verify the
+  // dependency is never observed violated, in either stage.
   constexpr int kRows = 8;
   constexpr int kCols = 32;
-  WavefrontProgress progress(kRows);
+  constexpr int kStages = 2;
+  std::vector<ReadyCounter> rows(kRows);
   std::atomic<int> violations{0};
   ThreadPool pool(4);
-  for (int by = 0; by < kRows; ++by) {
-    pool.submit([&, by] {
-      for (int bx = 0; bx < kCols; ++bx) {
-        if (by > 0) {
-          const int need = std::min(bx + 2, kCols);
-          progress.wait_for(by - 1, need);
-          if (progress.progress(by - 1) < need) {
-            violations.fetch_add(1);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  for (int stage = 0; stage < kStages; ++stage) {
+    const std::uint64_t base = static_cast<std::uint64_t>(stage) * kCols;
+    for (int by = 0; by < kRows; ++by) {
+      pool.submit(lane, [&, base, by] {
+        for (int bx = 0; bx < kCols; ++bx) {
+          if (by > 0) {
+            const std::uint64_t need =
+                base + static_cast<std::uint64_t>(std::min(bx + 2, kCols));
+            rows[static_cast<std::size_t>(by) - 1].wait_for(need);
+            if (rows[static_cast<std::size_t>(by) - 1].value() < need) {
+              violations.fetch_add(1);
+            }
           }
+          rows[static_cast<std::size_t>(by)].publish(
+              base + static_cast<std::uint64_t>(bx) + 1);
         }
-        progress.publish(by, bx + 1);
-      }
-    });
+      }, group);
+    }
+    pool.wait(group);
   }
-  pool.wait_idle();
   EXPECT_EQ(violations.load(), 0);
-  for (int by = 0; by < kRows; ++by) {
-    EXPECT_EQ(progress.progress(by), kCols);
+  for (const ReadyCounter& row : rows) {
+    EXPECT_EQ(row.value(), static_cast<std::uint64_t>(kStages * kCols));
   }
-}
-
-TEST(WavefrontProgress, ManyWaitersAllRelease) {
-  WavefrontProgress progress(1);
-  std::atomic<int> released{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 8; ++i) {
-    waiters.emplace_back([&, i] {
-      progress.wait_for(0, i + 1);
-      released.fetch_add(1);
-    });
-  }
-  for (int step = 1; step <= 8; ++step) {
-    progress.publish(0, step);
-  }
-  for (auto& t : waiters) {
-    t.join();
-  }
-  EXPECT_EQ(released.load(), 8);
 }
 
 }  // namespace
